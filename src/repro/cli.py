@@ -58,42 +58,64 @@ counterexamples).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-import time
 
-from . import Circuit, ZeusError, compile_text
+from . import Circuit, ZeusError, ops
 from .core.simulator import ENGINES
-from .core.trace import Trace
 from .obs import metrics_report, write_metrics
 from .obs import spans as _spans
-from .stdlib import programs
 
 
-def _load(args: argparse.Namespace) -> Circuit:
-    if args.builtin:
+def _load(args: argparse.Namespace, suffix: str = "") -> Circuit:
+    """Compile FILE or ``--builtin NAME`` (``FILE2``/``--builtin2`` and
+    ``--top2`` with ``suffix="2"``)."""
+    builtin = getattr(args, "builtin" + suffix)
+    if builtin:
+        from .stdlib import programs
+
         try:
-            text = programs.ALL_PROGRAMS[args.builtin]
+            text = programs.ALL_PROGRAMS[builtin]
         except KeyError:
             raise SystemExit(
-                f"unknown builtin {args.builtin!r}; run 'zeusc examples'"
+                f"unknown builtin {builtin!r}; run 'zeusc examples'"
             )
-        name = args.builtin
+        name = builtin
     else:
-        if not args.file:
+        name = getattr(args, "file" + suffix)
+        if not name:
             raise SystemExit("a FILE or --builtin NAME is required")
-        with open(args.file, "r", encoding="utf-8") as f:
+        with open(name, "r", encoding="utf-8") as f:
             text = f.read()
-        name = args.file
-    try:
-        return compile_text(
-            text, top=args.top, name=name, strict=not args.lenient
-        )
-    except ZeusError as exc:
-        # Keep the failing source on the exception so --format json
-        # error payloads can carry line/column positions.
-        exc.source_text = text
-        exc.source_name = name
-        raise
+    src = ops.Source(text, getattr(args, "top" + suffix), not args.lenient)
+    return ops.compile_design(src, name=name)
+
+
+def _write_or_print(text: str, output: str | None) -> None:
+    if output:
+        with open(output, "w", encoding="utf-8") as f:
+            f.write(text)
+        print(f"wrote {output}")
+    else:
+        print(text, end="")
+
+
+def _write_metrics(args: argparse.Namespace, circuit: Circuit, registry,
+                   sim=None, **sections) -> None:
+    """``--metrics FILE``: the zeus.metrics/1 report of this run."""
+    if args.metrics:
+        write_metrics(args.metrics,
+                      metrics_report(circuit, sim, registry, **sections))
+        print(f"wrote {args.metrics}")
+
+
+def _render(report, fmt: str, **text_options) -> str:
+    """A lint/proof/timing report as text, JSON or SARIF."""
+    if fmt == "json":
+        return report.render_json()
+    if fmt == "sarif":
+        return report.render_sarif()
+    return report.render_text(**text_options) + "\n"
 
 
 def _report_error(args: argparse.Namespace, exc: ZeusError) -> int:
@@ -101,25 +123,18 @@ def _report_error(args: argparse.Namespace, exc: ZeusError) -> int:
     subcommands emit the ``zeus.error/1`` payload (the same renderer
     zeusd uses) on stdout/-o; everything else keeps the one-line
     stderr message."""
-    import json
-
-    from .lang import SourceText
-    from .lang.errors import error_payload
-
     if getattr(args, "format", None) == "json":
+        from .lang import SourceText
+        from .lang.errors import error_payload
+
         source = None
         if getattr(exc, "source_text", None) is not None:
             source = SourceText(exc.source_text, exc.source_name)
-        text = json.dumps(
-            error_payload(exc, source), indent=2, sort_keys=True
-        ) + "\n"
-        output = getattr(args, "output", None)
-        if output:
-            with open(output, "w", encoding="utf-8") as f:
-                f.write(text)
-            print(f"wrote {output}")
-        else:
-            print(text, end="")
+        _write_or_print(
+            json.dumps(error_payload(exc, source), indent=2, sort_keys=True)
+            + "\n",
+            getattr(args, "output", None),
+        )
     print(f"error: {exc}", file=sys.stderr)
     return 2
 
@@ -141,47 +156,60 @@ def _add_metrics(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_pokes(p: argparse.ArgumentParser) -> None:
+def _add_output(p: argparse.ArgumentParser, what: str = "report") -> None:
+    p.add_argument("-o", "--output", metavar="FILE",
+                   help=f"write the {what} to FILE instead of stdout")
+
+
+def _add_stimulus(p: argparse.ArgumentParser) -> None:
+    """Pokes, seed and engine: the options every simulating command
+    shares."""
     p.add_argument(
         "--poke", action="append", default=[],
         metavar="SIG=VAL[@CYCLE]",
         help="drive SIG with VAL (int) from CYCLE on (default cycle 0)",
     )
-
-
-def _add_engine(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=ops.SimRequest.seed)
     p.add_argument(
-        "--engine", choices=ENGINES, default="auto",
+        "--engine", choices=ENGINES, default=ops.SimRequest.engine,
         help="simulation engine: levelized fast path, dataflow firing, "
              "or auto (levelized when the design can be scheduled)",
     )
 
 
-def _add_flight(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--flight", type=int, default=None, metavar="N",
-        help="record the last N cycles in the flight recorder",
-    )
-    p.add_argument(
-        "--trace-out", metavar="FILE",
-        help="write the recorded window as zeus.trace/1 JSON "
-             "(implies --flight over the whole run)",
-    )
-
-
 def _add_formal(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--depth", type=int, default=8, metavar="K",
-                   help="BMC unrolling bound in cycles (default 8)")
-    p.add_argument("--budget", type=int, default=100_000, metavar="N",
-                   help="solver node budget per SAT question (default 100000)")
+    p.add_argument("--depth", type=int, default=ops.FormalRequest.depth,
+                   metavar="K",
+                   help="BMC unrolling bound in cycles (default %(default)s)")
+    p.add_argument("--budget", type=int, default=ops.FormalRequest.budget,
+                   metavar="N",
+                   help="solver node budget per SAT question "
+                        "(default %(default)s)")
     p.add_argument("--no-induction", action="store_true",
                    help="skip the k-induction attempt after a clean BMC")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="report format (default text)")
-    p.add_argument("-o", "--output", metavar="FILE",
-                   help="write the report to FILE instead of stdout")
+    _add_output(p)
     p.add_argument("--werror", action="store_true",
                    help="exit 1 on UNKNOWN verdicts")
+
+
+def add_serve_arguments(p: argparse.ArgumentParser) -> None:
+    """The ``zeusc serve`` options (also ``python -m
+    repro.service.server``)."""
+    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--port", type=int, default=8471)
+    p.add_argument("--workers", type=int, default=None, metavar="N",
+                   help="process-pool shards (default: one per CPU)")
+    p.add_argument("--lanes", type=int, default=16, metavar="L",
+                   help="sim-session lanes per design (default 16)")
+    p.add_argument("--cache-size", type=int, default=128, metavar="N",
+                   help="compile-cache capacity (default 128)")
+    p.add_argument("--max-queue", type=int, default=None, metavar="N",
+                   help="pool backlog before 503 shedding "
+                        "(default 2x workers)")
+    p.add_argument("--timeout", type=float, default=60.0, metavar="S",
+                   help="per-request pool deadline (default 60s)")
 
 
 def _parse_pokes(specs: list[str]) -> list[tuple[int, str, int]]:
@@ -215,8 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_metrics(p)
     p.add_argument("--format", choices=("text", "json", "sarif"),
                    default="text", help="report format (default text)")
-    p.add_argument("-o", "--output", metavar="FILE",
-                   help="write the report to FILE instead of stdout")
+    _add_output(p)
     p.add_argument("-W", "--warn", action="append", default=[],
                    metavar="RULE[=SEV]",
                    help="set RULE's severity (default warning); SEV is "
@@ -244,14 +271,12 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("sim", help="simulate")
     _add_common(p)
     _add_metrics(p)
-    p.add_argument("--cycles", type=int, default=8)
-    _add_pokes(p)
+    p.add_argument("--cycles", type=int, default=ops.SimRequest.cycles)
     p.add_argument(
         "--watch", action="append", default=[], metavar="SIG",
         help="signals to print per cycle (default: all ports)",
     )
     p.add_argument("--vcd", help="write a VCD file of the watched signals")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--batch", metavar="FILE",
         help="batched bit-parallel sweep: JSON stimulus "
@@ -263,8 +288,16 @@ def main(argv: list[str] | None = None) -> int:
         help="lane count for --engine batched (default: from --batch, "
              "else 64)",
     )
-    _add_engine(p)
-    _add_flight(p)
+    _add_stimulus(p)
+    p.add_argument(
+        "--flight", type=int, default=None, metavar="N",
+        help="record the last N cycles in the flight recorder",
+    )
+    p.add_argument(
+        "--trace-out", metavar="FILE",
+        help="write the recorded window as zeus.trace/1 JSON "
+             "(implies --flight over the whole run)",
+    )
 
     p = sub.add_parser(
         "explain",
@@ -277,9 +310,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="the cycle to explain it at")
     p.add_argument("--cycles", type=int, default=None,
                    help="cycles to simulate (default: CYCLE+1)")
-    _add_pokes(p)
-    p.add_argument("--seed", type=int, default=0)
-    _add_engine(p)
+    _add_stimulus(p)
     p.add_argument("--flight", type=int, default=None, metavar="N",
                    help="flight-recorder capacity in cycles "
                         "(default: the whole run)")
@@ -288,8 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--format", choices=("text", "dot", "json"),
                    default="text",
                    help="text tree, Graphviz DOT, or zeus.trace/1 JSON")
-    p.add_argument("-o", "--output", metavar="FILE",
-                   help="write the explanation to FILE instead of stdout")
+    _add_output(p, "explanation")
 
     p = sub.add_parser(
         "profile",
@@ -299,11 +329,9 @@ def main(argv: list[str] | None = None) -> int:
     _add_metrics(p)
     p.add_argument("--cycles", type=int, default=64,
                    help="cycles to simulate (default 64)")
-    _add_pokes(p)
     p.add_argument("--top-n", type=int, default=10, metavar="N",
                    help="hottest nets/gates to list (default 10)")
-    p.add_argument("--seed", type=int, default=0)
-    _add_engine(p)
+    _add_stimulus(p)
     p.add_argument("--chrome", metavar="FILE",
                    help="write the run as Chrome trace-event JSON "
                         "(load in Perfetto / chrome://tracing)")
@@ -325,27 +353,30 @@ def main(argv: list[str] | None = None) -> int:
     )
     _add_common(p)
     _add_metrics(p)
-    p.add_argument("--model", default="unit",
+    p.add_argument("--model", default=ops.TimingRequest.model,
                    choices=("unit", "fanout"),
                    help="delay model: unit (historical logic levels, "
                         "default) or fanout (per-opcode gate delays + "
                         "wire-load estimates)")
-    p.add_argument("--paths", type=int, default=4, metavar="K",
-                   help="true critical paths to report (default 4)")
-    p.add_argument("--clock", type=float, default=None, metavar="T",
+    p.add_argument("--paths", type=int, default=ops.TimingRequest.paths,
+                   metavar="K",
+                   help="true critical paths to report (default %(default)s)")
+    p.add_argument("--clock", type=float, default=ops.TimingRequest.clock,
+                   metavar="T",
                    help="clock-period constraint; exit 1 when a true "
                         "path exceeds it")
     p.add_argument("--format", choices=("text", "json", "sarif"),
                    default="text", help="report format (default text)")
-    p.add_argument("-o", "--output", metavar="FILE",
-                   help="write the report to FILE instead of stdout")
+    _add_output(p)
     p.add_argument("--no-sat", action="store_true",
                    help="skip SAT false-path pruning (every path "
                         "reports 'assumed')")
-    p.add_argument("--budget", type=int, default=20_000, metavar="N",
-                   help="solver node budget per path (default 20000)")
-    p.add_argument("--max-sat", type=int, default=200, metavar="N",
-                   help="SAT classifications per run (default 200)")
+    p.add_argument("--budget", type=int, default=ops.TimingRequest.budget,
+                   metavar="N",
+                   help="solver node budget per path (default %(default)s)")
+    p.add_argument("--max-sat", type=int, default=ops.TimingRequest.max_sat,
+                   metavar="N",
+                   help="SAT classifications per run (default %(default)s)")
 
     p = sub.add_parser(
         "prove",
@@ -384,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("dot", help="export the semantics graph as DOT")
     _add_common(p)
-    p.add_argument("-o", "--output", help="output file (default: stdout)")
+    _add_output(p, "DOT")
     p.add_argument("--no-synthetic", action="store_true",
                    help="hide elaborator-synthesized helper nets")
 
@@ -394,8 +425,7 @@ def main(argv: list[str] | None = None) -> int:
              "zeus.interchange/1 manifest",
     )
     _add_common(p)
-    p.add_argument("-o", "--output", metavar="FILE",
-                   help="write the Verilog to FILE instead of stdout")
+    _add_output(p, "Verilog")
     p.add_argument("--manifest", metavar="FILE",
                    help="write the zeus.interchange/1 manifest JSON to FILE")
     p.add_argument("--module", metavar="NAME",
@@ -415,8 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="text prints a shape summary; json prints the "
                         "identity zeus.interchange/1 manifest")
-    p.add_argument("-o", "--output", metavar="FILE",
-                   help="write the report to FILE instead of stdout")
+    _add_output(p)
 
     p = sub.add_parser(
         "serve",
@@ -424,40 +453,20 @@ def main(argv: list[str] | None = None) -> int:
              "(content-hash compile cache, process-pool SAT shards, "
              "lane-multiplexed sim sessions)",
     )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8471)
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="process-pool shards (default: one per CPU)")
-    p.add_argument("--lanes", type=int, default=16, metavar="L",
-                   help="sim-session lanes per design (default 16)")
-    p.add_argument("--cache-size", type=int, default=128, metavar="N",
-                   help="compile-cache capacity (default 128)")
-    p.add_argument("--max-queue", type=int, default=None, metavar="N",
-                   help="pool backlog before 503 shedding "
-                        "(default 2x workers)")
-    p.add_argument("--timeout", type=float, default=60.0, metavar="S",
-                   help="per-request pool deadline (default 60s)")
+    add_serve_arguments(p)
 
     sub.add_parser("examples", help="list bundled paper programs")
 
     args = parser.parse_args(argv)
 
     if args.cmd == "serve":
-        from .service.server import main as serve_main
+        from .service.server import serve
 
-        serve_argv = [
-            "--host", args.host, "--port", str(args.port),
-            "--lanes", str(args.lanes),
-            "--cache-size", str(args.cache_size),
-            "--timeout", str(args.timeout),
-        ]
-        if args.workers is not None:
-            serve_argv += ["--workers", str(args.workers)]
-        if args.max_queue is not None:
-            serve_argv += ["--max-queue", str(args.max_queue)]
-        return serve_main(serve_argv)
+        return serve(args)
 
     if args.cmd == "examples":
+        from .stdlib import programs
+
         for name in sorted(programs.ALL_PROGRAMS):
             print(name)
         return 0
@@ -482,130 +491,87 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace, registry) -> int:
-    if args.cmd == "equiv":
-        return _equiv(args, registry)
-    if args.cmd == "import-verilog":
-        return _import_verilog(args)
-
+    """Compile the design, run the subcommand, and hold every path to
+    the exit-code contract: a design that fails to parse, elaborate or
+    check is an error (with a ``zeus.error/1`` payload under ``--format
+    json``), and so is a runtime failure -- a strict-mode violation, an
+    unknown poke/watch signal, a bad stimulus or option.  Never a
+    traceback, never a silent 1 that looks like mere warnings."""
+    circuit = None
+    if args.cmd not in ("equiv", "import-verilog"):
+        try:
+            circuit = _load(args)
+        except ZeusError as exc:
+            return _report_error(args, exc)
     try:
-        circuit = _load(args)
-    except ZeusError as exc:
-        # Every subcommand follows the exit-code contract: a design that
-        # fails to parse/elaborate/check is an error, never a traceback
-        # (and never a silent 1 that looks like mere warnings).
-        return _report_error(args, exc)
+        return _COMMANDS[args.cmd](args, circuit, registry)
+    except ops.RUNTIME_ERRORS as exc:
+        print(f"error: {ops.error_text(exc)}", file=sys.stderr)
+        return 2
 
-    if args.cmd == "check":
-        for diag in circuit.diagnostics.diagnostics:
-            print(diag.render(circuit.design.source))
-        errors = len(circuit.diagnostics.errors)
-        warnings = len(circuit.diagnostics.warnings)
-        print(f"{circuit.name}: {errors} error(s), {warnings} warning(s)")
-        if args.metrics:
-            write_metrics(args.metrics, metrics_report(circuit, registry=registry))
-            print(f"wrote {args.metrics}")
-        if errors:
-            return 2
-        if args.werror and warnings:
+
+def _check(args: argparse.Namespace, circuit: Circuit, registry) -> int:
+    for diag in circuit.diagnostics.diagnostics:
+        print(diag.render(circuit.design.source))
+    errors = len(circuit.diagnostics.errors)
+    warnings = len(circuit.diagnostics.warnings)
+    print(f"{circuit.name}: {errors} error(s), {warnings} warning(s)")
+    _write_metrics(args, circuit, registry)
+    if errors:
+        return 2
+    if args.werror and warnings:
+        return 1
+    return 0
+
+
+def _stats(args: argparse.Namespace, circuit: Circuit, registry) -> int:
+    print(circuit.netlist.describe())
+    for port in circuit.netlist.ports:
+        print(f"  {port.mode:>5} {port.name} [{len(port.nets)} bits]")
+    return 0
+
+
+def _layout(args: argparse.Namespace, circuit: Circuit, registry) -> int:
+    plan = circuit.layout()
+    print(f"{circuit.name}: {plan.width} x {plan.height} "
+          f"(area {plan.area}, {plan.leaf_count()} cells)")
+    print(plan.render_text())
+    if args.svg:
+        _write_or_print(plan.render_svg(), args.svg)
+    return 0
+
+
+def _analyze(args: argparse.Namespace, circuit: Circuit, registry) -> int:
+    from .analysis import cone_of_influence, critical_path, summary
+
+    info = summary(circuit.netlist)
+    for key, value in info.items():
+        print(f"{key:>16}: {value}")
+    path = critical_path(circuit.netlist)
+    named = [p for p in path if not p.split(".")[-1].startswith("$")]
+    print(f"{'critical path':>16}: " + " -> ".join(named))
+    if args.cone:
+        nets = circuit.netlist.signals.get(args.cone)
+        if nets is None:
+            nets = circuit.netlist.signals.get(f"{circuit.name}.{args.cone}")
+        if not nets:
+            print(f"error: unknown signal {args.cone!r}", file=sys.stderr)
             return 1
-        return 0
-
-    if args.cmd == "lint":
-        return _lint(args, circuit, registry)
-
-    if args.cmd == "stats":
-        print(circuit.netlist.describe())
-        for port in circuit.netlist.ports:
-            print(f"  {port.mode:>5} {port.name} [{len(port.nets)} bits]")
-        return 0
-
-    if args.cmd == "layout":
-        plan = circuit.layout()
-        print(f"{circuit.name}: {plan.width} x {plan.height} "
-              f"(area {plan.area}, {plan.leaf_count()} cells)")
-        print(plan.render_text())
-        if args.svg:
-            with open(args.svg, "w", encoding="utf-8") as f:
-                f.write(plan.render_svg())
-            print(f"wrote {args.svg}")
-        return 0
-
-    if args.cmd == "analyze":
-        from .analysis import cone_of_influence, critical_path, summary
-
-        info = summary(circuit.netlist)
-        for key, value in info.items():
-            print(f"{key:>16}: {value}")
-        path = critical_path(circuit.netlist)
-        named = [p for p in path if not p.split(".")[-1].startswith("$")]
-        print(f"{'critical path':>16}: " + " -> ".join(named))
-        if args.cone:
-            nets = circuit.netlist.signals.get(args.cone)
-            if nets is None:
-                nets = circuit.netlist.signals.get(f"{circuit.name}.{args.cone}")
-            if not nets:
-                print(f"error: unknown signal {args.cone!r}", file=sys.stderr)
-                return 1
-            cone = sorted(cone_of_influence(circuit.netlist, nets[0]))
-            named = [c for c in cone if not c.split(".")[-1].startswith("$")]
-            print(f"{'cone of ' + args.cone:>16}: {', '.join(named)}")
-        if args.metrics:
-            write_metrics(args.metrics, metrics_report(circuit, registry=registry))
-            print(f"wrote {args.metrics}")
-        return 0
-
-    if args.cmd == "dot":
-        from .analysis import to_dot
-
-        text = to_dot(circuit.netlist, include_synthetic=not args.no_synthetic)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as f:
-                f.write(text)
-            print(f"wrote {args.output}")
-        else:
-            print(text, end="")
-        return 0
-
-    if args.cmd == "emit-verilog":
-        return _emit_verilog(args, circuit)
-
-    if args.cmd == "timing":
-        return _timing(args, circuit, registry)
-
-    if args.cmd == "prove":
-        return _prove(args, circuit, registry)
-
-    if args.cmd == "profile":
-        return _guard_runtime(lambda: _profile(args, circuit, registry))
-
-    if args.cmd == "explain":
-        return _guard_runtime(lambda: _explain(args, circuit, registry))
-
-    return _guard_runtime(lambda: _sim(args, circuit, registry))
+        cone = sorted(cone_of_influence(circuit.netlist, nets[0]))
+        named = [c for c in cone if not c.split(".")[-1].startswith("$")]
+        print(f"{'cone of ' + args.cone:>16}: {', '.join(named)}")
+    _write_metrics(args, circuit, registry)
+    return 0
 
 
-def _guard_runtime(thunk) -> int:
-    """Run a simulating subcommand body under the exit-code contract: a
-    runtime failure (strict-mode violation, unknown poke/watch signal)
-    is an error -- report it, exit 2, never a traceback."""
-    try:
-        return thunk()
-    except ZeusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # Bad stimulus shapes (lane-count mismatches, over-wide poke
-        # values) surface as ValueError from the simulator layer.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        # The simulator raises KeyError with a full message for unknown
-        # poke/peek/watch paths; bare keys get a generic wrapper.
-        what = exc.args[0] if exc.args else exc
-        if not (isinstance(what, str) and " " in what):
-            what = f"unknown signal {what!r}"
-        print(f"error: {what}", file=sys.stderr)
-        return 2
+def _dot(args: argparse.Namespace, circuit: Circuit, registry) -> int:
+    from .analysis import to_dot
+
+    _write_or_print(
+        to_dot(circuit.netlist, include_synthetic=not args.no_synthetic),
+        args.output,
+    )
+    return 0
 
 
 _LANE_GLYPHS = {"0": "0", "1": "1", "UNDEF": "X", "NOINFL": "Z"}
@@ -622,48 +588,16 @@ def _lane_cell(bits) -> str:
     return "".join(_LANE_GLYPHS[str(b)] for b in reversed(bits))
 
 
-def _sim_batched(args: argparse.Namespace, circuit: Circuit, registry) -> int:
-    """The ``zeusc sim --batch`` body: one bit-parallel run, one final
-    per-lane table of the watched signals."""
-    from .core.batched import BatchStimulus
-
-    stim = BatchStimulus.from_json(args.batch) if args.batch else None
-    if args.lanes is not None:
-        lanes = args.lanes
-    elif stim is not None:
-        lanes = stim.lanes
-    else:
-        lanes = 64
-    if stim is not None and stim.lanes != lanes:
-        print(
-            f"error: --lanes {lanes} conflicts with --batch lane count "
-            f"{stim.lanes}",
-            file=sys.stderr,
-        )
-        return 2
-    engine = "codegen" if args.engine == "codegen" else "batched"
-    sim = circuit.simulator(
-        seed=args.seed, strict=not args.lenient, metrics=bool(args.metrics),
-        engine=engine, lanes=lanes, flight=_flight_capacity(args),
-    )
-    if stim is not None:
-        stim.apply(sim)
-    pokes = _parse_pokes(args.poke)
-    watch = args.watch or [p.name for p in circuit.netlist.ports]
-    t0 = time.perf_counter()
-    for t in range(args.cycles):
-        for cycle, sig, val in pokes:
-            if cycle == t:
-                sim.poke(sig, val)
-        sim.step()
-    elapsed = time.perf_counter() - t0
+def _print_lanes(run: ops.SimRun) -> None:
+    """The ``zeusc sim`` batched table: one row per lane."""
+    sim, lanes = run.sim, run.sim.lanes
     mode = "bit-parallel" if sim._batched_fast else "per-lane fallback"
     if sim.codegen_backend is not None:
         mode += f", {sim.codegen_backend} planes"
-    print(f"{sim.engine} run: {lanes} lanes x {args.cycles} cycles ({mode})")
+    print(f"{sim.engine} run: {lanes} lanes x {run.cycles} cycles ({mode})")
     if sim.engine_reason:
         print(f"  ({sim.engine_reason})")
-    columns = [(name, sim.peek_lanes(name)) for name in watch]
+    columns = [(name, sim.peek_lanes(name)) for name in run.watch]
     cells = [
         [_lane_cell(per_lane[k]) for name, per_lane in columns]
         for k in range(lanes)
@@ -679,139 +613,96 @@ def _sim_batched(args: argparse.Namespace, circuit: Circuit, registry) -> int:
         print("  ".join(
             v.rjust(w) for v, w in zip([str(k)] + row, widths)
         ))
-    if sim.violations:
-        print(f"{len(sim.violations)} runtime violation(s):")
-        for v in sim.violations:
-            print(f"  {v}")
-    _write_trace_out(args, circuit, sim)
-    if args.metrics:
-        write_metrics(
-            args.metrics,
-            metrics_report(circuit, sim, registry, elapsed=elapsed),
-        )
-        print(f"wrote {args.metrics}")
-    return 0
-
-
-def _flight_capacity(args: argparse.Namespace) -> int | None:
-    """The flight-recorder capacity for a ``sim`` run: ``--flight N``,
-    or the whole run when ``--trace-out`` is given without it."""
-    if args.flight is not None:
-        return args.flight
-    if args.trace_out:
-        return max(args.cycles, 1)
-    return None
-
-
-def _write_trace_out(args: argparse.Namespace, circuit: Circuit, sim) -> None:
-    if not args.trace_out:
-        return
-    from .obs import trace_report, write_trace
-
-    write_trace(args.trace_out, trace_report(circuit, sim))
-    print(f"wrote {args.trace_out}")
 
 
 def _sim(args: argparse.Namespace, circuit: Circuit, registry) -> int:
-    """The ``zeusc sim`` body: run the cycles, print the trace."""
-    if args.batch or args.lanes is not None or args.engine in (
+    """The ``zeusc sim`` body: a scalar run prints the per-cycle trace;
+    ``--batch``/``--lanes``/a lane engine prints one final per-lane
+    table of the watched signals."""
+    batched = bool(args.batch) or args.lanes is not None or args.engine in (
         "batched", "codegen"
-    ):
-        return _sim_batched(args, circuit, registry)
-    sim = circuit.simulator(
-        seed=args.seed, strict=not args.lenient, metrics=bool(args.metrics),
-        engine=args.engine, flight=_flight_capacity(args),
     )
-    pokes = _parse_pokes(args.poke)
-    watch = args.watch or [p.name for p in circuit.netlist.ports]
-    trace = Trace(watch)
-    sim.attach_trace(trace)
-    t0 = time.perf_counter()
-    for t in range(args.cycles):
-        for cycle, sig, val in pokes:
-            if cycle == t:
-                sim.poke(sig, val)
-        sim.step()
-    elapsed = time.perf_counter() - t0
-    print(trace.render_ascii())
+    stim = lanes = None
+    engine = args.engine
+    if batched:
+        from .core.batched import BatchStimulus
+
+        stim = BatchStimulus.from_json(args.batch) if args.batch else None
+        lanes = (args.lanes if args.lanes is not None
+                 else stim.lanes if stim is not None else 64)
+        if stim is not None and stim.lanes != lanes:
+            print(
+                f"error: --lanes {lanes} conflicts with --batch lane count "
+                f"{stim.lanes}",
+                file=sys.stderr,
+            )
+            return 2
+        engine = "codegen" if args.engine == "codegen" else "batched"
+    flight = args.flight
+    if flight is None and args.trace_out:
+        flight = max(args.cycles, 1)  # --trace-out records the whole run
+    run = ops.simulate(circuit, ops.SimRequest(
+        cycles=args.cycles, pokes=_parse_pokes(args.poke), watch=args.watch,
+        seed=args.seed, engine=engine, lanes=lanes, flight=flight,
+        metrics=bool(args.metrics), strict=not args.lenient,
+        trace=not batched,
+    ), stimulus=stim)
+    sim = run.sim
+    if batched:
+        _print_lanes(run)
+    else:
+        print(run.trace.render_ascii())
     if sim.violations:
         print(f"{len(sim.violations)} runtime violation(s):")
         for v in sim.violations:
             print(f"  {v}")
-    if args.vcd:
-        trace.write_vcd(args.vcd, circuit.name)
+    if args.vcd and not batched:
+        run.trace.write_vcd(args.vcd, circuit.name)
         print(f"wrote {args.vcd}")
-    _write_trace_out(args, circuit, sim)
-    if args.metrics:
-        write_metrics(
-            args.metrics,
-            metrics_report(circuit, sim, registry, elapsed=elapsed),
-        )
-        print(f"wrote {args.metrics}")
+    if args.trace_out:
+        from .obs import trace_report, write_trace
+
+        write_trace(args.trace_out, trace_report(circuit, sim))
+        print(f"wrote {args.trace_out}")
+    _write_metrics(args, circuit, registry, sim, elapsed=run.elapsed)
     return 0
 
 
-def _write_or_print(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as f:
-            f.write(text)
-        print(f"wrote {output}")
-    else:
-        print(text, end="")
-
-
-def _emit_verilog(args: argparse.Namespace, circuit: Circuit) -> int:
+def _emit_verilog(args: argparse.Namespace, circuit: Circuit,
+                  registry) -> int:
     """The ``zeusc emit-verilog`` body: walk the elaborated netlist,
     write structural Verilog and the zeus.interchange/1 manifest.  An
     unencodable design shape (see :mod:`repro.interchange.emit`) is an
     error under the exit contract (2)."""
-    import json
-
-    from .interchange import emit_verilog
-
     try:
-        text, manifest = emit_verilog(
-            circuit.design, module_name=args.module)
+        text, manifest = ops.emit_verilog(circuit, args.module)
     except ZeusError as exc:
-        if circuit.design.source is not None:
-            exc.source_text = circuit.design.source.text
-            exc.source_name = circuit.design.source.name
         return _report_error(args, exc)
     if args.format == "json":
-        _write_or_print(
-            json.dumps({"verilog": text, "manifest": manifest},
-                       indent=2, sort_keys=True) + "\n",
-            args.output,
-        )
-    else:
-        _write_or_print(text, args.output)
+        text = json.dumps({"verilog": text, "manifest": manifest},
+                          indent=2, sort_keys=True) + "\n"
+    _write_or_print(text, args.output)
     if args.manifest:
-        with open(args.manifest, "w", encoding="utf-8") as f:
-            json.dump(manifest, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"wrote {args.manifest}")
+        _write_or_print(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                        args.manifest)
     return 0
 
 
-def _import_verilog(args: argparse.Namespace) -> int:
+def _import_verilog(args: argparse.Namespace, circuit, registry) -> int:
     """The ``zeusc import-verilog`` body: parse the structural subset,
     rebuild the semantics graph, report its shape.  Unsupported
     constructs, dangling instance ports and duplicate modules exit 2
     with a ``zeus.error/1`` payload (``--format json``) naming the
     source line."""
-    import json
-
-    from .interchange import import_manifest, read_verilog
-
     with open(args.file, "r", encoding="utf-8") as f:
         text = f.read()
     try:
-        design = read_verilog(text, name=args.file, top=args.top)
+        design = ops.import_verilog(text, args.file, args.top)
     except ZeusError as exc:
-        exc.source_text = text
-        exc.source_name = args.file
         return _report_error(args, exc)
     if args.format == "json":
+        from .interchange import import_manifest
+
         _write_or_print(
             json.dumps(import_manifest(design), indent=2, sort_keys=True)
             + "\n",
@@ -837,48 +728,18 @@ def _import_verilog(args: argparse.Namespace) -> int:
 
 
 def _lint(args: argparse.Namespace, circuit: Circuit, registry) -> int:
-    """The ``zeusc lint`` body: build the config from the CLI flags, run
+    """The ``zeusc lint`` body: build the request from the CLI flags, run
     every enabled pass, render, honor the exit-code contract."""
-    from .lint import LintConfig, run_lint
-
-    config = LintConfig(werror=args.werror)
-    if args.max_fanout is not None:
-        config.max_fanout = args.max_fanout
-    if args.max_depth is not None:
-        config.max_depth = args.max_depth
-    if args.prover_budget is not None:
-        config.prover_budget = args.prover_budget
-    try:
-        for spec in args.warn:
-            rule, _, sev = spec.partition("=")
-            config.set_severity(rule.strip(), (sev or "warning").strip())
-        for rule in args.error:
-            config.set_severity(rule.strip(), "error")
-        for rule in args.disable:
-            config.set_severity(rule.strip(), "off")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    report = run_lint(circuit, config)
-    if args.format == "json":
-        text = report.render_json()
-    elif args.format == "sarif":
-        text = report.render_sarif()
-    else:
-        text = report.render_text(show_suppressed=args.show_suppressed) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text)
-        print(f"wrote {args.output}")
-    else:
-        print(text, end="")
-    if args.metrics:
-        write_metrics(
-            args.metrics,
-            metrics_report(circuit, registry=registry, lint=report),
-        )
-        print(f"wrote {args.metrics}")
+    report = ops.lint(circuit, ops.LintRequest(
+        werror=args.werror, warn=args.warn, error=args.error,
+        disable=args.disable, max_fanout=args.max_fanout,
+        max_depth=args.max_depth, prover_budget=args.prover_budget,
+    ))
+    _write_or_print(
+        _render(report, args.format, show_suppressed=args.show_suppressed),
+        args.output,
+    )
+    _write_metrics(args, circuit, registry, lint=report)
     return report.exit_code()
 
 
@@ -889,8 +750,6 @@ def _explain(args: argparse.Namespace, circuit: Circuit, registry) -> int:
     The run is always lenient (strict mode would abort at the very
     conflict being diagnosed); an unknown net or a cycle outside the
     recorded window is an error under the exit-code contract (2)."""
-    import json
-
     from .obs import causal, export
 
     cycles = args.cycles if args.cycles is not None else args.cycle + 1
@@ -898,52 +757,35 @@ def _explain(args: argparse.Namespace, circuit: Circuit, registry) -> int:
         print(f"error: --cycle {args.cycle} is before the first cycle (0)",
               file=sys.stderr)
         return 2
-    capacity = args.flight if args.flight is not None else cycles
-    sim = circuit.simulator(
-        seed=args.seed, strict=False, engine=args.engine, flight=capacity,
-    )
-    pokes = _parse_pokes(args.poke)
-    for t in range(cycles):
-        for cycle, sig, val in pokes:
-            if cycle == t:
-                sim.poke(sig, val)
-        sim.step()
+    run = ops.simulate(circuit, ops.SimRequest(
+        cycles=cycles, pokes=_parse_pokes(args.poke), seed=args.seed,
+        engine=args.engine,
+        flight=args.flight if args.flight is not None else cycles,
+    ))
     explanation = causal.explain(
-        sim, args.net, args.cycle, max_nodes=args.max_nodes
+        run.sim, args.net, args.cycle, max_nodes=args.max_nodes
     )
     if args.format == "dot":
         text = explanation.render_dot() + "\n"
     elif args.format == "json":
-        report = export.trace_report(circuit, sim, explanation=explanation)
+        report = export.trace_report(circuit, run.sim,
+                                     explanation=explanation)
         export.validate_trace_report(report)
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         text = explanation.render_text() + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text)
-        print(f"wrote {args.output}")
-    else:
-        print(text, end="")
+    _write_or_print(text, args.output)
     return 0
 
 
 def _profile(args: argparse.Namespace, circuit: Circuit, registry) -> int:
     """The ``zeusc profile`` body: phase timings, activity statistics,
     hottest nets/gates, optional JSON export."""
-    sim = circuit.simulator(
-        seed=args.seed, strict=not args.lenient, metrics=True,
-        engine=args.engine,
-    )
-    pokes = _parse_pokes(args.poke)
-    t0 = time.perf_counter()
-    for t in range(args.cycles):
-        for cycle, sig, val in pokes:
-            if cycle == t:
-                sim.poke(sig, val)
-        sim.step()
-    elapsed = time.perf_counter() - t0
-
+    run = ops.simulate(circuit, ops.SimRequest(
+        cycles=args.cycles, pokes=_parse_pokes(args.poke), seed=args.seed,
+        engine=args.engine, metrics=True, strict=not args.lenient,
+    ))
+    sim, elapsed = run.sim, run.elapsed
     stats = circuit.netlist.stats()
     print(f"== {circuit.name}: {stats['nets']} nets, {stats['gates']} gates, "
           f"{stats['registers']} registers ==")
@@ -965,108 +807,52 @@ def _profile(args: argparse.Namespace, circuit: Circuit, registry) -> int:
             args.chrome, chrome_trace(registry, sim, elapsed=elapsed)
         )
         print(f"wrote {args.chrome}")
-    if args.metrics:
-        write_metrics(
-            args.metrics,
-            metrics_report(circuit, sim, registry,
-                           elapsed=elapsed, top=args.top_n),
-        )
-        print(f"wrote {args.metrics}")
+    _write_metrics(args, circuit, registry, sim, elapsed=elapsed,
+                   top=args.top_n)
     return 0
 
 
 def _timing(args: argparse.Namespace, circuit: Circuit, registry) -> int:
     """The ``zeusc timing`` body: run the STA, render, honor the
     exit-code contract (1 on a violated --clock constraint)."""
-    from .timing import analyze_timing, write_timing_report
-
-    report = analyze_timing(
-        circuit, model=args.model, clock=args.clock, k=args.paths,
-        sat=not args.no_sat, budget=args.budget, max_sat=args.max_sat)
-    if args.format == "json":
-        text = report.render_json()
-    elif args.format == "sarif":
-        text = report.render_sarif()
-    else:
-        text = report.render_text() + "\n"
-    if args.output:
-        if args.format == "json":
-            write_timing_report(args.output, report)
-        else:
-            with open(args.output, "w", encoding="utf-8") as f:
-                f.write(text)
-        print(f"wrote {args.output}")
-    else:
-        print(text, end="")
-    if args.metrics:
-        write_metrics(
-            args.metrics,
-            metrics_report(circuit, registry=registry, timing=report),
-        )
-        print(f"wrote {args.metrics}")
+    report = ops.timing(circuit, ops.TimingRequest(
+        model=args.model, clock=args.clock, paths=args.paths,
+        sat=not args.no_sat, budget=args.budget, max_sat=args.max_sat,
+    ))
+    _write_or_print(_render(report, args.format), args.output)
+    _write_metrics(args, circuit, registry, timing=report)
     return report.exit_code()
+
+
+def _formal_request(args: argparse.Namespace, cls=ops.FormalRequest,
+                    **extra):
+    return cls(depth=args.depth, budget=args.budget,
+               induction=not args.no_induction, **extra)
 
 
 def _emit_formal(args: argparse.Namespace, report, circuit,
                  registry) -> int:
     """Render/write a zeus.proof/1 report and apply the exit contract."""
-    from .formal import write_proof_report
-
-    if args.format == "json":
-        text = report.render_json()
-    else:
-        text = report.render_text() + "\n"
-    if args.output:
-        if args.format == "json":
-            write_proof_report(args.output, report)
-        else:
-            with open(args.output, "w", encoding="utf-8") as f:
-                f.write(text)
-        print(f"wrote {args.output}")
-    else:
-        print(text, end="")
-    if args.metrics:
-        write_metrics(
-            args.metrics,
-            metrics_report(circuit, registry=registry, formal=report),
-        )
-        print(f"wrote {args.metrics}")
+    _write_or_print(_render(report, args.format), args.output)
+    _write_metrics(args, circuit, registry, formal=report)
     return report.exit_code(werror=args.werror)
 
 
 def _prove(args: argparse.Namespace, circuit: Circuit, registry) -> int:
     """The ``zeusc prove`` body: BMC + k-induction over the properties."""
-    from .formal import FormalConfig, prove
-
-    config = FormalConfig(depth=args.depth, budget=args.budget,
-                          induction=not args.no_induction)
-    try:
-        report = prove(circuit, args.prop or None, config)
-    except ValueError as exc:  # bad --prop spec
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = ops.prove(circuit, _formal_request(
+        args, ops.ProveRequest, props=args.prop or None))
     return _emit_formal(args, report, circuit, registry)
 
 
-def _equiv(args: argparse.Namespace, registry) -> int:
+def _equiv(args: argparse.Namespace, circuit, registry) -> int:
     """The ``zeusc equiv`` body: load both designs, run the miter, and
     optionally cross-check with random co-simulation."""
-    from .formal import FormalConfig, check_equivalence
-
     try:
-        a = _load(args)
-        b = _load(argparse.Namespace(
-            builtin=args.builtin2, file=args.file2, top=args.top2,
-            lenient=args.lenient))
+        a, b = _load(args), _load(args, "2")
     except ZeusError as exc:
         return _report_error(args, exc)
-    config = FormalConfig(depth=args.depth, budget=args.budget,
-                          induction=not args.no_induction)
-    try:
-        report = check_equivalence(a, b, config)
-    except ValueError as exc:  # mismatched interfaces
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = ops.equiv(a, b, _formal_request(args))
     code = _emit_formal(args, report, a, registry)
     if args.sample:
         from .analysis import random_equivalent
@@ -1081,6 +867,24 @@ def _equiv(args: argparse.Namespace, registry) -> int:
                 print(f"  {m}")
             code = max(code, 2)
     return code
+
+
+_COMMANDS = {
+    "check": _check,
+    "lint": _lint,
+    "stats": _stats,
+    "sim": _sim,
+    "explain": _explain,
+    "profile": _profile,
+    "layout": _layout,
+    "analyze": _analyze,
+    "timing": _timing,
+    "prove": _prove,
+    "equiv": _equiv,
+    "dot": _dot,
+    "emit-verilog": _emit_verilog,
+    "import-verilog": _import_verilog,
+}
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..ops import FormalRequest
 from .encode import EncodeError, Encoder, input_groups, out_ports
 from .replay import replay_property
 from .report import Counterexample, ProofReport, PropertyResult
@@ -50,13 +51,13 @@ _STATE_DOMAIN = (1, 0, "U")
 
 
 @dataclass
-class FormalConfig:
-    """Knobs shared by ``zeusc prove`` and ``zeusc equiv``."""
+class FormalConfig(FormalRequest):
+    """Knobs shared by ``zeusc prove`` and ``zeusc equiv``: the request's
+    ``depth`` (BMC unrolling bound, frames 0..depth), ``budget`` (DPLL
+    node budget per SAT question) and ``induction`` (attempt k-induction
+    after a clean BMC), plus the encoder's net-frame budget."""
 
-    depth: int = 8          # BMC unrolling bound (frames 0..depth)
-    budget: int = 100_000   # DPLL node budget per SAT question
-    induction: bool = True  # attempt k-induction after a clean BMC
-    max_nodes: int = 200_000  # encoder net-frame budget
+    max_nodes: int = 200_000
 
     def to_dict(self) -> dict:
         return {"depth": self.depth, "budget": self.budget,

@@ -37,7 +37,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
+from ..schema import design_block, need_design
+from ..schema import need as _need
 from .solver import SolverStats
 
 SCHEMA = "zeus.proof/1"
@@ -141,16 +144,8 @@ class ProofReport:
         return {
             "schema": SCHEMA,
             "mode": self.mode,
-            "designs": [
-                {
-                    "name": name,
-                    "nets": stats.get("nets", 0),
-                    "gates": stats.get("gates", 0),
-                    "connections": stats.get("connections", 0),
-                    "registers": stats.get("registers", 0),
-                }
-                for name, stats in self.designs
-            ],
+            "designs": [design_block(name, stats)
+                        for name, stats in self.designs],
             "config": dict(self.config),
             "solver": {
                 "clauses": self.clauses,
@@ -225,14 +220,7 @@ def write_proof_report(path: str, report: "ProofReport") -> None:
 def validate_proof_report(report: dict) -> None:
     """Raise ``ValueError`` unless *report* conforms to ``zeus.proof/1``."""
 
-    def need(obj: dict, key: str, types, where: str):
-        if key not in obj:
-            raise ValueError(f"proof report: missing {where}.{key}")
-        if not isinstance(obj[key], types):
-            raise ValueError(
-                f"proof report: {where}.{key} must be {types}, "
-                f"got {type(obj[key]).__name__}")
-        return obj[key]
+    need = partial(_need, "proof report")
 
     if not isinstance(report, dict):
         raise ValueError("proof report must be a dict")
@@ -247,9 +235,7 @@ def validate_proof_report(report: dict) -> None:
     if not designs:
         raise ValueError("proof report: designs must be non-empty")
     for d in designs:
-        need(d, "name", str, "designs[]")
-        for key in ("nets", "gates", "connections", "registers"):
-            need(d, key, int, "designs[]")
+        need_design(need, d, "designs[]")
 
     config = need(report, "config", dict, "report")
     need(config, "depth", int, "config")

@@ -198,7 +198,7 @@ class _Builder:
         terms = inst.positional or []
         op = inst.mtype
 
-        def need(n: int, what: str) -> None:
+        def arity(n: int, what: str) -> None:
             if len(terms) != n:
                 raise self.error(
                     f"{op} takes {what} ({n} terminals), got "
@@ -226,13 +226,13 @@ class _Builder:
             gate_out = self.netlist.add_gate("EQUAL", ins, inst.span)
             self.netlist.add_conn(gate_out, out, None, inst.span)
         elif op == "not":
-            need(2, "one output and one input")
+            arity(2, "one output and one input")
             out = self.out_net(scope, terms[0])
             gate_out = self.netlist.add_gate(
                 "NOT", [self.lookup(scope, terms[1])], inst.span)
             self.netlist.add_conn(gate_out, out, None, inst.span)
         elif op == "buf":
-            need(2, "one output and one input")
+            arity(2, "one output and one input")
             out = self.out_net(scope, terms[0])
             if terms[1].kind == "lit":
                 self.netlist.add_const(terms[1].value, out, None, inst.span)
@@ -240,7 +240,7 @@ class _Builder:
                 self.netlist.add_conn(
                     self.lookup(scope, terms[1]), out, None, inst.span)
         elif op in ("bufif1", "bufif0"):
-            need(3, "output, data, control")
+            arity(3, "output, data, control")
             out = self.out_net(scope, terms[0])
             cond = self.lookup(scope, terms[2])
             if op == "bufif0":

@@ -28,9 +28,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..lang.errors import Severity
 from ..lang.source import SourceText
+from ..schema import design_block, need_counts, need_design
+from ..schema import need as _need
 from .model import RULES, Finding, LintConfig
 from .prover import ProverResult
 
@@ -112,13 +115,7 @@ class LintReport:
             })
         report = {
             "schema": SCHEMA,
-            "design": {
-                "name": self.design_name,
-                "nets": self.stats.get("nets", 0),
-                "gates": self.stats.get("gates", 0),
-                "connections": self.stats.get("connections", 0),
-                "registers": self.stats.get("registers", 0),
-            },
+            "design": design_block(self.design_name, self.stats),
             "summary": {
                 "findings": len(self.findings) - self.suppressed,
                 "errors": self.errors,
@@ -221,14 +218,7 @@ def write_lint_report(path: str, report: "LintReport") -> None:
 def validate_lint_report(report: dict) -> None:
     """Raise ``ValueError`` unless *report* conforms to ``zeus.lint/1``."""
 
-    def need(obj: dict, key: str, types, where: str):
-        if key not in obj:
-            raise ValueError(f"lint report: missing {where}.{key}")
-        if not isinstance(obj[key], types):
-            raise ValueError(
-                f"lint report: {where}.{key} must be {types}, "
-                f"got {type(obj[key]).__name__}")
-        return obj[key]
+    need = partial(_need, "lint report")
 
     if not isinstance(report, dict):
         raise ValueError("lint report must be a dict")
@@ -236,19 +226,12 @@ def validate_lint_report(report: dict) -> None:
         raise ValueError(
             f"lint report: schema must be {SCHEMA!r}, "
             f"got {report.get('schema')!r}")
-    design = need(report, "design", dict, "report")
-    need(design, "name", str, "design")
-    for key in ("nets", "gates", "connections", "registers"):
-        need(design, key, int, "design")
+    need_design(need, need(report, "design", dict, "report"), "design")
 
     summary = need(report, "summary", dict, "report")
     for key in ("findings", "errors", "warnings", "notes", "suppressed"):
         need(summary, key, int, "summary")
-    by_rule = need(summary, "by_rule", dict, "summary")
-    for rule, count in by_rule.items():
-        if not isinstance(count, int):
-            raise ValueError(
-                f"lint report: summary.by_rule[{rule!r}] must be int")
+    need_counts(need, summary, "by_rule", "summary")
 
     for f in need(report, "findings", list, "report"):
         need(f, "rule", str, "findings[]")

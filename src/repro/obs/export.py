@@ -101,8 +101,11 @@ carrying a causal explanation (:mod:`repro.obs.causal`):
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import TYPE_CHECKING
 
+from ..schema import design_block, need_counts, need_design
+from ..schema import need as _need
 from .spans import SpanRegistry
 
 if TYPE_CHECKING:
@@ -130,23 +133,12 @@ def metrics_report(
     timing=None,
 ) -> dict:
     """Assemble the full ``zeus.metrics/1`` report dict."""
-    stats = circuit.netlist.stats()
     report: dict = {
         "schema": SCHEMA,
-        "design": {
-            "name": circuit.name,
-            "nets": stats.get("nets", 0),
-            "gates": stats.get("gates", 0),
-            "connections": stats.get("connections", 0),
-            "registers": stats.get("registers", 0),
-        },
+        "design": design_block(circuit.name, circuit.netlist.stats()),
     }
     if registry is not None and registry.spans:
-        report["compile"] = {
-            "phases": registry.phase_totals(),
-            "self_phases": registry.self_times(),
-            "spans": registry.to_dicts(),
-        }
+        report["compile"] = _compile_section(registry)
     if sim is not None and sim.metrics.enabled:
         report["sim"] = sim.metrics.to_dict(top=top)
     if lint is not None:
@@ -215,12 +207,16 @@ def service_metrics_report(
     daemon's recent request spans as a ``compile`` section."""
     report: dict = {"schema": SCHEMA, "service": service}
     if registry is not None and registry.spans:
-        report["compile"] = {
-            "phases": registry.phase_totals(),
-            "self_phases": registry.self_times(),
-            "spans": registry.to_dicts(),
-        }
+        report["compile"] = _compile_section(registry)
     return report
+
+
+def _compile_section(registry: SpanRegistry) -> dict:
+    return {
+        "phases": registry.phase_totals(),
+        "self_phases": registry.self_times(),
+        "spans": registry.to_dicts(),
+    }
 
 
 def write_metrics(path: str, report: dict) -> None:
@@ -235,15 +231,7 @@ def validate_report(report: dict) -> None:
     """Raise ``ValueError`` unless *report* conforms to the documented
     ``zeus.metrics/1`` shape."""
 
-    def need(obj: dict, key: str, types, where: str):
-        if key not in obj:
-            raise ValueError(f"metrics report: missing {where}.{key}")
-        if not isinstance(obj[key], types):
-            raise ValueError(
-                f"metrics report: {where}.{key} must be "
-                f"{types}, got {type(obj[key]).__name__}"
-            )
-        return obj[key]
+    need = partial(_need, "metrics report")
 
     if not isinstance(report, dict):
         raise ValueError("metrics report must be a dict")
@@ -253,10 +241,7 @@ def validate_report(report: dict) -> None:
             f"got {report.get('schema')!r}"
         )
     if "design" in report or "service" not in report:
-        design = need(report, "design", dict, "report")
-        need(design, "name", str, "design")
-        for key in ("nets", "gates", "connections", "registers"):
-            need(design, key, int, "design")
+        need_design(need, need(report, "design", dict, "report"), "design")
 
     if "service" in report:
         service = need(report, "service", dict, "report")
@@ -264,14 +249,7 @@ def validate_report(report: dict) -> None:
         requests = need(service, "requests", dict, "service")
         for key in ("total", "errors", "shed"):
             need(requests, key, int, "service.requests")
-        by_endpoint = need(requests, "by_endpoint", dict,
-                           "service.requests")
-        for ep, count in by_endpoint.items():
-            if not isinstance(count, int):
-                raise ValueError(
-                    f"metrics report: service.requests.by_endpoint"
-                    f"[{ep!r}] must be int"
-                )
+        need_counts(need, requests, "by_endpoint", "service.requests")
         cache = need(service, "cache", dict, "service")
         for key in ("entries", "capacity", "hits", "misses", "evictions"):
             need(cache, key, int, "service.cache")
@@ -337,12 +315,7 @@ def validate_report(report: dict) -> None:
         lint = need(report, "lint", dict, "report")
         for key in ("errors", "warnings", "notes", "suppressed"):
             need(lint, key, int, "lint")
-        by_rule = need(lint, "by_rule", dict, "lint")
-        for rule, count in by_rule.items():
-            if not isinstance(count, int):
-                raise ValueError(
-                    f"metrics report: lint.by_rule[{rule!r}] must be int"
-                )
+        need_counts(need, lint, "by_rule", "lint")
         if "prover" in lint:
             prover = need(lint, "prover", dict, "lint")
             for key in ("nets_analyzed", "proved_exclusive",
@@ -414,7 +387,6 @@ def trace_report(
             "trace export needs a flight recorder: construct the "
             "simulator with flight=N (or zeusc sim --flight N)"
         )
-    stats = circuit.netlist.stats()
     events = [
         ev.to_dict()
         for ev in fl.events(include_synthetic=include_synthetic)
@@ -425,13 +397,7 @@ def trace_report(
         events = events[:max_events]
     report: dict = {
         "schema": TRACE_SCHEMA,
-        "design": {
-            "name": circuit.name,
-            "nets": stats.get("nets", 0),
-            "gates": stats.get("gates", 0),
-            "connections": stats.get("connections", 0),
-            "registers": stats.get("registers", 0),
-        },
+        "design": design_block(circuit.name, circuit.netlist.stats()),
         "engine": sim.engine,
         "lanes": sim.lanes,
         "window": {
@@ -462,15 +428,7 @@ def validate_trace_report(report: dict) -> None:
     """Raise ``ValueError`` unless *report* conforms to the documented
     ``zeus.trace/1`` shape."""
 
-    def need(obj: dict, key: str, types, where: str):
-        if key not in obj:
-            raise ValueError(f"trace report: missing {where}.{key}")
-        if not isinstance(obj[key], types):
-            raise ValueError(
-                f"trace report: {where}.{key} must be "
-                f"{types}, got {type(obj[key]).__name__}"
-            )
-        return obj[key]
+    need = partial(_need, "trace report")
 
     if not isinstance(report, dict):
         raise ValueError("trace report must be a dict")
@@ -479,10 +437,7 @@ def validate_trace_report(report: dict) -> None:
             f"trace report: schema must be {TRACE_SCHEMA!r}, "
             f"got {report.get('schema')!r}"
         )
-    design = need(report, "design", dict, "report")
-    need(design, "name", str, "design")
-    for key in ("nets", "gates", "connections", "registers"):
-        need(design, key, int, "design")
+    need_design(need, need(report, "design", dict, "report"), "design")
     need(report, "engine", str, "report")
     if "lanes" not in report or not (
         report["lanes"] is None or isinstance(report["lanes"], int)

@@ -48,6 +48,8 @@ class Span:
     duration: float = 0.0
     depth: int = 0
     meta: dict = field(default_factory=dict)
+    #: The enclosing span (None for a root).
+    parent: "Span | None" = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         d = {
@@ -110,6 +112,7 @@ class SpanRegistry:
             start=time.perf_counter(),
             depth=len(self._stack),
             meta=meta,
+            parent=parent,
         )
         self._stack.append(sp)
         try:
@@ -148,18 +151,17 @@ class SpanRegistry:
 
     def self_times(self) -> dict[str, float]:
         """Exclusive (self) duration per span name: inclusive time minus
-        the time spent in directly nested child spans."""
-        child_time: dict[str, float] = {}
-        for sp in self.spans:
-            if "/" in sp.path:
-                parent_path = sp.path.rsplit("/", 1)[0]
-                child_time[parent_path] = (
-                    child_time.get(parent_path, 0.0) + sp.duration
-                )
+        the time spent in directly nested child spans.  Each recorded
+        child is subtracted once, from its own parent, so spans that
+        share a path (concurrent requests) never absorb each other's
+        children."""
+        recorded = {id(sp) for sp in self.spans}
         out: dict[str, float] = {}
         for sp in self.spans:
-            self_t = sp.duration - child_time.get(sp.path, 0.0)
-            out[sp.name] = out.get(sp.name, 0.0) + self_t
+            out[sp.name] = out.get(sp.name, 0.0) + sp.duration
+            if sp.parent is not None and id(sp.parent) in recorded:
+                name = sp.parent.name
+                out[name] = out.get(name, 0.0) - sp.duration
         return out
 
     def to_dicts(self) -> list[dict]:

@@ -62,6 +62,9 @@ class ZeusClient:
 
     # -- convenience wrappers -------------------------------------------
 
+    def _post(self, path: str, source: str, options: dict):
+        return self.request("POST", path, {"source": source, **options})
+
     def health(self):
         return self.request("GET", "/v1/health")
 
@@ -69,34 +72,22 @@ class ZeusClient:
         return self.request("GET", "/v1/metrics")
 
     def compile(self, source: str, **options):
-        return self.request(
-            "POST", "/v1/compile", {"source": source, **options}
-        )
+        return self._post("/v1/compile", source, options)
 
     def lint(self, source: str, **options):
-        return self.request(
-            "POST", "/v1/lint", {"source": source, **options}
-        )
+        return self._post("/v1/lint", source, options)
 
     def sim(self, source: str, **options):
-        return self.request(
-            "POST", "/v1/sim", {"source": source, **options}
-        )
+        return self._post("/v1/sim", source, options)
 
     def prove(self, source: str, **options):
-        return self.request(
-            "POST", "/v1/prove", {"source": source, **options}
-        )
+        return self._post("/v1/prove", source, options)
 
     def timing(self, source: str, **options):
-        return self.request(
-            "POST", "/v1/timing", {"source": source, **options}
-        )
+        return self._post("/v1/timing", source, options)
 
     def open_session(self, source: str, **options):
-        return self.request(
-            "POST", "/v1/session/open", {"source": source, **options}
-        )
+        return self._post("/v1/session/open", source, options)
 
     def session(self, sid: str, verb: str = "", body: dict | None = None,
                 method: str = "POST"):

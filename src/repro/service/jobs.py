@@ -1,12 +1,14 @@
-"""Picklable job bodies for the :class:`~repro.service.pool.ShardPool`.
+"""The :class:`~repro.service.pool.ShardPool` job: run one
+:mod:`repro.ops` operation in a shard.
 
-Each job is a plain top-level function taking only picklable arguments
-(source text + options) and returning a plain dict (the rendered
-report).  Jobs compile *in the worker process* -- shipping an elaborated
-graph across the process boundary would cost more than re-elaborating,
-and each worker keeps its own warm :data:`_WORKER_CACHE` so repeated
-obligations on one design pay the compile once per shard, not per
-request.
+:func:`run` is a plain top-level function taking only picklable
+arguments (the operation's name, its :class:`~repro.ops.Source`
+designs and its request) and returning the operation's JSON reply
+(:func:`repro.ops.reply`).  Jobs compile *in the worker process* --
+shipping an elaborated graph across the process boundary would cost
+more than re-elaborating -- and each worker keeps its own warm
+:data:`_WORKER_CACHE`, so repeated obligations on one design pay the
+compile once per shard, not per request.
 
 Compile failures raise :class:`~repro.lang.errors.ZeusError` in the
 worker; the exception pickles back to the server, which renders it as
@@ -15,7 +17,7 @@ a structured ``zeus.error/1`` payload.
 
 from __future__ import annotations
 
-import json
+from .. import ops
 
 #: Per-worker compile cache (content-hash -> Circuit), populated
 #: lazily in each shard process.
@@ -23,126 +25,29 @@ _WORKER_CACHE: dict = {}
 _WORKER_CACHE_MAX = 32
 
 
-def _worker_compile(source: str, top: str | None, strict: bool):
-    from .. import compile_text
+def _worker_compile(src: ops.Source):
     from .cache import cache_key
 
-    key = cache_key(source, top, strict)
+    key = cache_key(src.source, src.top, src.strict)
     circuit = _WORKER_CACHE.get(key)
     if circuit is None:
-        circuit = compile_text(source, top, strict=strict)
+        circuit = ops.compile_design(src)
         if len(_WORKER_CACHE) >= _WORKER_CACHE_MAX:
             _WORKER_CACHE.pop(next(iter(_WORKER_CACHE)))
         _WORKER_CACHE[key] = circuit
     return circuit
 
 
-def prove_job(
-    source: str,
-    top: str | None,
-    strict: bool,
-    props: list[str] | None,
-    depth: int,
-    budget: int,
-    induction: bool,
-) -> dict:
-    """BMC + k-induction in a shard; returns the ``zeus.proof/1``
-    report dict plus the CLI exit code."""
-    from ..formal import FormalConfig, prove
-
-    circuit = _worker_compile(source, top, strict)
-    config = FormalConfig(depth=depth, budget=budget, induction=induction)
-    report = prove(circuit, props or None, config)
-    return {
-        "report": json.loads(report.render_json()),
-        "exit_code": report.exit_code(),
-    }
+def run(op: str, sources: list[ops.Source], request) -> dict:
+    """Compile *sources* and return ``ops.<op>(*circuits, request)``'s
+    JSON reply."""
+    circuits = [_worker_compile(src) for src in sources]
+    return ops.reply(getattr(ops, op)(*circuits, request))
 
 
-def equiv_job(
-    source_a: str,
-    top_a: str | None,
-    source_b: str,
-    top_b: str | None,
-    strict: bool,
-    depth: int,
-    budget: int,
-    induction: bool,
-) -> dict:
-    """Sequential-equivalence miter in a shard."""
-    from ..formal import FormalConfig, check_equivalence
-
-    a = _worker_compile(source_a, top_a, strict)
-    b = _worker_compile(source_b, top_b, strict)
-    config = FormalConfig(depth=depth, budget=budget, induction=induction)
-    report = check_equivalence(a, b, config)
-    return {
-        "report": json.loads(report.render_json()),
-        "exit_code": report.exit_code(),
-    }
-
-
-def timing_job(
-    source: str,
-    top: str | None,
-    strict: bool,
-    model: str,
-    clock: float | None,
-    paths: int,
-    sat: bool,
-    budget: int,
-    max_sat: int,
-) -> dict:
-    """SAT-pruned static timing analysis in a shard; returns the
-    ``zeus.timing/1`` report dict plus the CLI exit code."""
-    from ..timing import analyze_timing
-
-    circuit = _worker_compile(source, top, strict)
-    report = analyze_timing(
-        circuit, model=model, clock=clock, k=paths, sat=sat,
-        budget=budget, max_sat=max_sat,
-    )
-    return {
-        "report": json.loads(report.render_json()),
-        "exit_code": report.exit_code(),
-    }
-
-
-def sim_job(
-    source: str,
-    top: str | None,
-    strict: bool,
-    cycles: int,
-    pokes: list,
-    watch: list[str],
-    seed: int,
-    engine: str,
-) -> dict:
-    """A long scalar sim in a shard: run the cycles, return the final
-    watched values and the recorded violations."""
-    circuit = _worker_compile(source, top, strict)
-    sim = circuit.simulator(strict=False, seed=seed, engine=engine)
-    poke_plan = sorted(
-        (int(cycle), str(path), value) for cycle, path, value in pokes
-    )
-    applied = 0
-    for t in range(cycles):
-        while applied < len(poke_plan) and poke_plan[applied][0] <= t:
-            _, path, value = poke_plan[applied]
-            sim.poke(path, value)
-            applied += 1
-        sim.step()
-    watch = watch or [p.name for p in circuit.netlist.ports]
-    return {
-        "design": circuit.name,
-        "engine": sim.engine,
-        "cycles": cycles,
-        "signals": {
-            path: [str(b) for b in sim.peek(path)] for path in watch
-        },
-        "violations": [
-            {"cycle": v.cycle, "net": v.net,
-             "values": [str(x) for x in v.values]}
-            for v in sim.violations
-        ],
-    }
+def timing_job(source: str, top: str | None, strict: bool,
+               *options) -> dict:
+    """``run("timing", ...)`` with positional arguments: the design,
+    then the :class:`~repro.ops.TimingRequest` fields in order."""
+    return run("timing", [ops.Source(source, top, strict)],
+               ops.TimingRequest(*options))

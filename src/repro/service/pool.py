@@ -26,6 +26,7 @@ import asyncio
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 
 class PoolSaturated(Exception):
@@ -83,57 +84,52 @@ class ShardPool:
                 )
             return self._executor
 
+    @contextmanager
+    def _slot(self, timeout: float | None):
+        """Admit one job -- or shed it with :class:`PoolSaturated` when
+        the queue is full -- and yield its deadline."""
+        with self._lock:
+            if self.pending >= self.workers + self.max_queue:
+                self.shed += 1
+                raise PoolSaturated(self.retry_after)
+            self.pending += 1
+            self.submitted += 1
+        try:
+            yield timeout if timeout is not None else self.timeout
+        finally:
+            with self._lock:
+                self.pending -= 1
+                self.completed += 1
+
+    def _timed_out(self, future, deadline: float) -> PoolTimeout:
+        future.cancel()
+        with self._lock:
+            self.timeouts += 1
+        return PoolTimeout(deadline)
+
     async def run(self, fn, /, *args, timeout: float | None = None):
         """Run ``fn(*args)`` on a shard; await its result.
 
         Raises :class:`PoolSaturated` immediately when the queue is
         full, :class:`PoolTimeout` when the deadline passes first.
         """
-        with self._lock:
-            if self.pending >= self.workers + self.max_queue:
-                self.shed += 1
-                raise PoolSaturated(self.retry_after)
-            self.pending += 1
-            self.submitted += 1
-        deadline = timeout if timeout is not None else self.timeout
-        try:
+        with self._slot(timeout) as deadline:
             future = self._get_executor().submit(fn, *args)
             try:
                 return await asyncio.wait_for(
                     asyncio.wrap_future(future), deadline
                 )
             except (asyncio.TimeoutError, TimeoutError):
-                future.cancel()
-                with self._lock:
-                    self.timeouts += 1
-                raise PoolTimeout(deadline) from None
-        finally:
-            with self._lock:
-                self.pending -= 1
-                self.completed += 1
+                raise self._timed_out(future, deadline) from None
 
     def run_sync(self, fn, /, *args, timeout: float | None = None):
         """Blocking variant of :meth:`run` (tests, benchmarks)."""
-        with self._lock:
-            if self.pending >= self.workers + self.max_queue:
-                self.shed += 1
-                raise PoolSaturated(self.retry_after)
-            self.pending += 1
-            self.submitted += 1
-        deadline = timeout if timeout is not None else self.timeout
-        try:
+        with self._slot(timeout) as deadline:
             future = self._get_executor().submit(fn, *args)
             try:
                 return future.result(deadline)
             except TimeoutError:
-                future.cancel()
-                with self._lock:
-                    self.timeouts += 1
-                raise PoolTimeout(deadline) from None
-        finally:
-            with self._lock:
-                self.pending -= 1
-                self.completed += 1
+                raise self._timed_out(future, deadline) from None
 
     def stats(self) -> dict:
         with self._lock:
@@ -149,7 +145,19 @@ class ShardPool:
             }
 
     def shutdown(self) -> None:
+        """Cancel queued jobs, stop the workers and wait for them, so no
+        worker outlives the pool.  A worker still running a job (one
+        whose deadline already passed, say) is terminated rather than
+        waited out."""
         with self._lock:
             executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+        if executor is None:
+            return
+        # The executor's worker table is private, but it is the only
+        # handle on the processes before Python 3.14.
+        workers = list((executor._processes or {}).values())
+        executor.shutdown(wait=False, cancel_futures=True)
+        for proc in workers:
+            proc.terminate()
+        for proc in workers:
+            proc.join()

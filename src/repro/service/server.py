@@ -31,8 +31,15 @@ are JSON bodies, long sims stream as chunked NDJSON.  The endpoints:
     DELETE /v1/session/<id>            release the lane
     POST /v1/cache/clear               drop every cached compile
 
+Every endpoint is JSON -> request -> :mod:`repro.ops` -> JSON: the body
+becomes the operation's request object (:func:`repro.ops.from_json`),
+and the reply is the same report ``zeusc`` renders.
+
 Error contract: compile failures are HTTP 400 with the ``zeus.error/1``
-payload (the CLI's ``--format json`` renderer); a saturated worker pool
+payload (the CLI's ``--format json`` renderer); so is every malformed
+request -- request line, headers, ``Content-Length``, JSON body, a
+missing or wrongly typed field, an unknown poke or watch path -- with
+``{"error": ...}``; a body over 8 MiB is 413; a saturated worker pool
 is 503 with a ``Retry-After`` header; a blown per-request deadline is
 504; unknown routes are 404.
 
@@ -54,7 +61,7 @@ import itertools
 import json
 import time
 
-from .. import __version__
+from .. import __version__, ops
 from ..lang import SourceText
 from ..lang.errors import ZeusError, error_payload
 from ..obs.export import service_metrics_report, validate_report
@@ -70,6 +77,13 @@ _MAX_HEADERS = 64
 #: Sim requests beyond this many cycles leave the event loop for the
 #: process pool (tunable per daemon).
 DEFAULT_LONG_SIM_CYCLES = 20_000
+
+#: The pool endpoints: the operation each runs and its request class.
+_POOLED = {
+    "/v1/prove": ("prove", ops.ProveRequest),
+    "/v1/equiv": ("equiv", ops.FormalRequest),
+    "/v1/timing": ("timing", ops.TimingRequest),
+}
 
 
 class _HttpError(Exception):
@@ -193,7 +207,14 @@ class ZeusDaemon:
         self._conns.add(writer)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _HttpError as exc:
+                    # The framing is lost: answer, then hang up.
+                    self._requests["total"] += 1
+                    self._fail(writer, exc, keep=False)
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -219,27 +240,42 @@ class ZeusDaemon:
                 pass
 
     async def _read_request(self, reader):
-        line = await reader.readline()
+        """The next request, or None at EOF.  A malformed request line,
+        header block or ``Content-Length`` raises :class:`_HttpError`."""
+        line = await self._readline(reader)
         if not line:
             return None
-        try:
-            method, path, _version = line.decode("ascii").split()
-        except ValueError:
-            raise ConnectionError("malformed request line")
+        parts = line.decode("latin-1").split()
+        if len(parts) != 3:
+            raise _HttpError(400, {"error": "malformed request line"})
+        method, path, _version = parts
         headers: dict[str, str] = {}
         for _ in range(_MAX_HEADERS):
-            line = await reader.readline()
+            line = await self._readline(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         else:
-            raise ConnectionError("too many headers")
-        length = int(headers.get("content-length", "0") or "0")
-        if length > _MAX_BODY:
-            raise ConnectionError("body too large")
-        body = await reader.readexactly(length) if length else b""
+            raise _HttpError(400, {"error": "too many headers"})
+        length = headers.get("content-length", "0") or "0"
+        if not length.isdecimal():
+            raise _HttpError(
+                400, {"error": f"bad Content-Length {length!r}"})
+        size = int(length)
+        if size > _MAX_BODY:
+            raise _HttpError(413, {"error": "body too large"})
+        body = await reader.readexactly(size) if size else b""
         return method.upper(), path, headers, body
+
+    @staticmethod
+    async def _readline(reader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError:  # a line past the stream's buffer limit
+            raise _HttpError(
+                400, {"error": "request line or header too long"}
+            ) from None
 
     def _send(
         self, writer, status: int, payload: dict,
@@ -258,6 +294,12 @@ class ZeusDaemon:
             ("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body
         )
 
+    def _fail(self, writer, exc: _HttpError, keep: bool) -> None:
+        self._requests["errors"] += 1
+        if exc.status == 503:
+            self._requests["shed"] += 1
+        self._send(writer, exc.status, exc.payload, exc.headers, keep)
+
     async def _dispatch(
         self, method: str, path: str, body: bytes, writer, keep: bool
     ):
@@ -270,17 +312,13 @@ class ZeusDaemon:
                     return await self._route(
                         method, path, body, writer, keep, registry
                     )
+        except ops.BadRequest as exc:
+            self._fail(writer, _HttpError(400, {"error": str(exc)}), keep)
         except _HttpError as exc:
-            self._requests["errors"] += 1
-            if exc.status == 503:
-                self._requests["shed"] += 1
-            self._send(writer, exc.status, exc.payload, exc.headers, keep)
+            self._fail(writer, exc, keep)
         except Exception as exc:  # noqa: BLE001 -- the last-resort 500
-            self._requests["errors"] += 1
-            self._send(
-                writer, 500,
-                {"error": f"{type(exc).__name__}: {exc}"}, None, keep,
-            )
+            self._fail(writer, _HttpError(
+                500, {"error": f"{type(exc).__name__}: {exc}"}), keep)
         finally:
             # Collapse the route key so per-session paths aggregate.
             parts = endpoint.split("/")
@@ -321,12 +359,15 @@ class ZeusDaemon:
             payload = await self._sim(request, registry)
         elif path == "/v1/sim/stream" and method == "POST":
             return await self._sim_stream(request, writer, keep)
-        elif path == "/v1/prove" and method == "POST":
-            payload = await self._prove(request)
-        elif path == "/v1/equiv" and method == "POST":
-            payload = await self._equiv(request)
-        elif path == "/v1/timing" and method == "POST":
-            payload = await self._timing(request)
+        elif path in _POOLED and method == "POST":
+            op, cls = _POOLED[path]
+            sources = [ops.from_json(ops.Source, request)]
+            if op == "equiv":
+                sources.append(ops.from_json(
+                    ops.Source, request, {"source": "source2", "top": "top2"}
+                ))
+            payload = await self._pooled(
+                op, sources, ops.from_json(cls, request), request)
         elif path == "/v1/session/open" and method == "POST":
             payload = await self._session_open(request)
         elif path.startswith("/v1/session/"):
@@ -341,7 +382,7 @@ class ZeusDaemon:
             return {}
         try:
             request = json.loads(body)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise _HttpError(400, {"error": f"bad JSON body: {exc}"})
         if not isinstance(request, dict):
             raise _HttpError(400, {"error": "JSON body must be an object"})
@@ -349,26 +390,18 @@ class ZeusDaemon:
 
     # -- compile-path endpoints -----------------------------------------
 
-    def _entry(self, request: dict, registry, *, field: str = "source",
-               top_field: str = "top"):
-        source = request.get(field)
-        if not isinstance(source, str):
-            raise _HttpError(
-                400, {"error": f"missing or non-string {field!r}"}
-            )
-        top = request.get(top_field)
-        strict = bool(request.get("strict", True))
+    def _entry(self, src: ops.Source, registry):
         try:
             return self.cache.get_or_compile(
-                source, top, strict=strict, registry=registry
+                src.source, src.top, strict=src.strict, registry=registry
             )
         except ZeusError as exc:
             raise _HttpError(
-                400, error_payload(exc, SourceText(source, "<request>"))
+                400, error_payload(exc, SourceText(src.source, "<request>"))
             ) from None
 
     async def _compile(self, request: dict, registry) -> dict:
-        entry, hit = self._entry(request, registry)
+        entry, hit = self._entry(ops.from_json(ops.Source, request), registry)
         circuit = entry.circuit
         return {
             "design": {"name": circuit.name, **circuit.stats()},
@@ -386,91 +419,39 @@ class ZeusDaemon:
         }
 
     async def _lint(self, request: dict, registry) -> dict:
-        from ..lint import LintConfig, run_lint
-
-        entry, hit = self._entry(request, registry)
-        config = LintConfig(werror=bool(request.get("werror", False)))
-        report = await asyncio.to_thread(run_lint, entry.circuit, config)
-        return {
-            "cached": hit,
-            "report": json.loads(report.render_json()),
-            "exit_code": report.exit_code(),
-        }
+        req = ops.from_json(ops.LintRequest, request)
+        entry, hit = self._entry(ops.from_json(ops.Source, request), registry)
+        try:
+            report = await asyncio.to_thread(ops.lint, entry.circuit, req)
+        except ops.RUNTIME_ERRORS as exc:
+            raise self._runtime_error(exc) from None
+        return {**ops.reply(report), "cached": hit}
 
     async def _sim(self, request: dict, registry) -> dict:
-        cycles = int(request.get("cycles", 8))
-        if cycles < 0:
-            raise _HttpError(400, {"error": "cycles must be >= 0"})
-        pokes = request.get("pokes", [])
-        watch = request.get("watch", [])
-        seed = int(request.get("seed", 0))
-        engine = str(request.get("engine", "auto"))
-        if cycles > self.long_sim_cycles:
+        src = ops.from_json(ops.Source, request)
+        req = ops.from_json(ops.SimRequest, request)
+        if req.cycles > self.long_sim_cycles:
             # Long runs are real compute: shard them.
-            return await self._pooled(
-                jobs.sim_job,
-                request.get("source", ""), request.get("top"),
-                bool(request.get("strict", True)), cycles,
-                [tuple(p) for p in pokes], list(watch), seed, engine,
-                timeout=request.get("timeout"),
-            )
-        entry, hit = self._entry(request, registry)
-
-        def run() -> dict:
-            sim = entry.simulator(strict=False, seed=seed, engine=engine)
-            plan = sorted(
-                (int(c), str(p), v) for c, p, v in pokes
-            )
-            applied = 0
-            for t in range(cycles):
-                while applied < len(plan) and plan[applied][0] <= t:
-                    sim.poke(plan[applied][1], plan[applied][2])
-                    applied += 1
-                sim.step()
-            names = watch or [
-                p.name for p in entry.circuit.netlist.ports
-            ]
-            return {
-                "design": entry.circuit.name,
-                "engine": sim.engine,
-                "cached": hit,
-                "cycles": cycles,
-                "signals": {
-                    path: [str(b) for b in sim.peek(path)]
-                    for path in names
-                },
-                "violations": [
-                    {"cycle": v.cycle, "net": v.net,
-                     "values": [str(x) for x in v.values]}
-                    for v in sim.violations
-                ],
-            }
-
+            return await self._pooled("simulate", [src], req, request)
+        entry, hit = self._entry(src, registry)
         try:
-            return await asyncio.to_thread(run)
-        except (ZeusError, KeyError, ValueError) as exc:
+            run = await asyncio.to_thread(
+                ops.simulate, entry.circuit, req, entry=entry)
+        except ops.RUNTIME_ERRORS as exc:
             raise self._runtime_error(exc) from None
+        return {**run.payload(), "cached": hit}
 
     async def _sim_stream(self, request: dict, writer, keep: bool):
         """Chunked NDJSON: one line per cycle with the watched values,
         then a summary line -- a WebSocket-style live tail over plain
-        HTTP/1.1 (curl -N shows cycles as they happen)."""
-        cycles = int(request.get("cycles", 8))
-        watch = request.get("watch", [])
-        seed = int(request.get("seed", 0))
-        engine = str(request.get("engine", "auto"))
-        pokes = sorted(
-            (int(c), str(p), v) for c, p, v in request.get("pokes", [])
-        )
-        entry, _hit = self._entry(request, None)
+        HTTP/1.1 (curl -N shows cycles as they happen).  Every watch
+        and poke is checked before the 200 goes out."""
+        req = ops.from_json(ops.SimRequest, request)
+        entry, _hit = self._entry(ops.from_json(ops.Source, request), None)
         try:
-            sim = entry.simulator(strict=False, seed=seed, engine=engine)
-            names = watch or [
-                p.name for p in entry.circuit.netlist.ports
-            ]
-            for path in names:
-                sim.nets_of(path)  # validate before the 200 goes out
-        except (ZeusError, KeyError, ValueError) as exc:
+            sim, watch, cycles = ops.start_sim(entry.circuit, req,
+                                               entry=entry)
+        except ops.RUNTIME_ERRORS as exc:
             raise self._runtime_error(exc) from None
 
         writer.write(
@@ -484,28 +465,16 @@ class ZeusDaemon:
             data = (json.dumps(obj, sort_keys=True) + "\n").encode()
             return f"{len(data):x}\r\n".encode() + data + b"\r\n"
 
-        applied = 0
-        for t in range(cycles):
-            while applied < len(pokes) and pokes[applied][0] <= t:
-                sim.poke(pokes[applied][1], pokes[applied][2])
-                applied += 1
+        for t in cycles:
             await asyncio.to_thread(sim.step)
             writer.write(chunk({
-                "cycle": t,
-                "signals": {
-                    path: [str(b) for b in sim.peek(path)]
-                    for path in names
-                },
+                "cycle": t, "signals": ops.signals(sim, watch),
             }))
             await writer.drain()
         writer.write(chunk({
             "done": True,
-            "cycles": cycles,
-            "violations": [
-                {"cycle": v.cycle, "net": v.net,
-                 "values": [str(x) for x in v.values]}
-                for v in sim.violations
-            ],
+            "cycles": req.cycles,
+            "violations": ops.violations(sim.violations),
         }))
         writer.write(b"0\r\n\r\n")
         await writer.drain()
@@ -513,11 +482,12 @@ class ZeusDaemon:
 
     # -- pool endpoints --------------------------------------------------
 
-    async def _pooled(self, fn, /, *args, timeout=None):
+    async def _pooled(self, op: str, sources, req, request: dict):
+        """Run ``ops.<op>`` on a shard (:func:`repro.service.jobs.run`)."""
+        timeout = ops.typed(request, "timeout", float | None)
         try:
             return await self.pool.run(
-                fn, *args,
-                timeout=float(timeout) if timeout is not None else None,
+                jobs.run, op, sources, req, timeout=timeout
             )
         except PoolSaturated as exc:
             raise _HttpError(
@@ -527,79 +497,23 @@ class ZeusDaemon:
             ) from None
         except PoolTimeout as exc:
             raise _HttpError(504, {"error": str(exc)}) from None
-        except ZeusError as exc:
-            raise _HttpError(400, error_payload(exc)) from None
-
-    def _source_of(self, request: dict, field: str = "source") -> str:
-        source = request.get(field)
-        if not isinstance(source, str):
-            raise _HttpError(
-                400, {"error": f"missing or non-string {field!r}"}
-            )
-        return source
-
-    async def _prove(self, request: dict) -> dict:
-        return await self._pooled(
-            jobs.prove_job,
-            self._source_of(request), request.get("top"),
-            bool(request.get("strict", True)),
-            request.get("props"),
-            int(request.get("depth", 8)),
-            int(request.get("budget", 100_000)),
-            bool(request.get("induction", True)),
-            timeout=request.get("timeout"),
-        )
-
-    async def _equiv(self, request: dict) -> dict:
-        return await self._pooled(
-            jobs.equiv_job,
-            self._source_of(request), request.get("top"),
-            self._source_of(request, "source2"), request.get("top2"),
-            bool(request.get("strict", True)),
-            int(request.get("depth", 8)),
-            int(request.get("budget", 100_000)),
-            bool(request.get("induction", True)),
-            timeout=request.get("timeout"),
-        )
-
-    async def _timing(self, request: dict) -> dict:
-        return await self._pooled(
-            jobs.timing_job,
-            self._source_of(request), request.get("top"),
-            bool(request.get("strict", True)),
-            str(request.get("model", "unit")),
-            request.get("clock"),
-            int(request.get("paths", 4)),
-            bool(request.get("sat", True)),
-            int(request.get("budget", 20_000)),
-            int(request.get("max_sat", 200)),
-            timeout=request.get("timeout"),
-        )
+        except ops.RUNTIME_ERRORS as exc:
+            raise self._runtime_error(exc) from None
 
     # -- session endpoints ----------------------------------------------
 
     async def _session_open(self, request: dict) -> dict:
-        source = self._source_of(request)
-        top = request.get("top")
-        strict = bool(request.get("strict", True))
-        seed = int(request.get("seed", 0))
-        engine = str(request.get("engine", "batched"))
+        src = ops.from_json(ops.Source, request)
+        seed = ops.typed(request, "seed", int, 0)
+        engine = ops.typed(request, "engine", str, "batched")
         if engine not in ("batched", "codegen"):
             raise _HttpError(
                 400, {"error": "session engine must be batched|codegen"}
             )
-        key = cache_key(source, top, strict)
+        key = cache_key(src.source, src.top, src.strict)
         state = self._muxes.get(key)
         if state is None:
-            try:
-                entry, _hit = self.cache.get_or_compile(
-                    source, top, strict=strict
-                )
-            except ZeusError as exc:
-                raise _HttpError(
-                    400,
-                    error_payload(exc, SourceText(source, "<request>")),
-                ) from None
+            entry, _hit = self._entry(src, None)
             mux = await asyncio.to_thread(
                 LaneMux, entry.circuit,
                 lanes=self.lanes, engine=engine, cache_entry=entry,
@@ -657,50 +571,8 @@ class ZeusDaemon:
         if method != "POST":
             raise _HttpError(405, {"error": f"{method} not allowed here"})
 
-        if verb == "poke":
-            async with state.lock:
-                try:
-                    session.poke(
-                        str(request.get("path", "")), request.get("value")
-                    )
-                except (ZeusError, KeyError, ValueError, TypeError) as exc:
-                    raise self._runtime_error(exc) from None
-            return {"session": sid, "poked": request.get("path")}
-
-        if verb == "unpoke":
-            async with state.lock:
-                try:
-                    session.unpoke(str(request.get("path", "")))
-                except (ZeusError, KeyError, ValueError) as exc:
-                    raise self._runtime_error(exc) from None
-            return {"session": sid, "unpoked": request.get("path")}
-
-        if verb == "peek":
-            sig = str(request.get("path", ""))
-            async with state.lock:
-                try:
-                    bits = session.peek(sig)
-                    value = session.peek_int(sig)
-                except (ZeusError, KeyError, ValueError) as exc:
-                    raise self._runtime_error(exc) from None
-            return {
-                "session": sid,
-                "path": sig,
-                "bits": [str(b) for b in bits],
-                "value": value,
-                "cycle": session.cycle,
-            }
-
-        if verb == "registers":
-            async with state.lock:
-                regs = session.registers()
-            return {
-                "session": sid,
-                "registers": {k: str(v) for k, v in regs.items()},
-            }
-
         if verb == "step":
-            cycles = int(request.get("cycles", 1))
+            cycles = ops.typed(request, "cycles", int, 1)
             if cycles < 0:
                 raise _HttpError(400, {"error": "cycles must be >= 0"})
             before = len(session.violations)
@@ -708,12 +580,34 @@ class ZeusDaemon:
             return {
                 "session": sid,
                 "cycle": session.cycle,
-                "violations": [
-                    {"cycle": v.cycle, "net": v.net,
-                     "values": [str(x) for x in v.values]}
-                    for v in session.violations[before:]
-                ],
+                "violations": ops.violations(session.violations[before:]),
             }
+
+        sig = str(request.get("path", ""))
+        async with state.lock:
+            try:
+                if verb == "poke":
+                    session.poke(sig, request.get("value"))
+                    return {"session": sid, "poked": request.get("path")}
+                if verb == "unpoke":
+                    session.unpoke(sig)
+                    return {"session": sid, "unpoked": request.get("path")}
+                if verb == "peek":
+                    return {
+                        "session": sid,
+                        "path": sig,
+                        "bits": [str(b) for b in session.peek(sig)],
+                        "value": session.peek_int(sig),
+                        "cycle": session.cycle,
+                    }
+                if verb == "registers":
+                    regs = session.registers()
+                    return {
+                        "session": sid,
+                        "registers": {k: str(v) for k, v in regs.items()},
+                    }
+            except ops.RUNTIME_ERRORS as exc:
+                raise self._runtime_error(exc) from None
 
         raise _HttpError(404, {"error": f"no session verb {verb!r}"})
 
@@ -757,36 +651,12 @@ class ZeusDaemon:
     def _runtime_error(exc) -> _HttpError:
         if isinstance(exc, ZeusError):
             return _HttpError(400, error_payload(exc))
-        what = exc.args[0] if exc.args else exc
-        if isinstance(exc, KeyError) and not (
-            isinstance(what, str) and " " in what
-        ):
-            what = f"unknown signal {what!r}"
-        return _HttpError(400, {"error": str(what)})
+        return _HttpError(400, {"error": ops.error_text(exc)})
 
 
-def main(argv=None) -> int:
-    """``python -m repro.service.server`` -- standalone entry point
-    (the CLI's ``zeusc serve`` forwards here)."""
-    import argparse
-
-    ap = argparse.ArgumentParser(
-        prog="zeusd", description="Zeus compile-and-simulate daemon"
-    )
-    ap.add_argument("--host", default="127.0.0.1")
-    ap.add_argument("--port", type=int, default=8471)
-    ap.add_argument("--workers", type=int, default=None,
-                    help="process-pool shards (default: one per CPU)")
-    ap.add_argument("--lanes", type=int, default=16,
-                    help="sim-session lanes per design (default 16)")
-    ap.add_argument("--cache-size", type=int, default=128,
-                    help="compile-cache capacity (default 128)")
-    ap.add_argument("--max-queue", type=int, default=None,
-                    help="pool backlog before shedding (default 2x workers)")
-    ap.add_argument("--timeout", type=float, default=60.0,
-                    help="per-request pool deadline in seconds")
-    args = ap.parse_args(argv)
-
+def serve(args) -> int:
+    """Run the daemon with the ``zeusc serve`` options until
+    interrupted."""
     daemon = ZeusDaemon(
         host=args.host, port=args.port, workers=args.workers,
         lanes=args.lanes, cache_size=args.cache_size,
@@ -806,6 +676,20 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         pass
     return 0
+
+
+def main(argv=None) -> int:
+    """``python -m repro.service.server`` -- ``zeusc serve`` as a
+    standalone entry point."""
+    import argparse
+
+    from ..cli import add_serve_arguments
+
+    ap = argparse.ArgumentParser(
+        prog="zeusd", description="Zeus compile-and-simulate daemon"
+    )
+    add_serve_arguments(ap)
+    return serve(ap.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ tests share.
 
 from __future__ import annotations
 
+from ..ops import TimingRequest as _REQ
 from .delay import FANOUT, GATE_DELAYS, MODELS, UNIT, DelayModel, get_model
 from .falsepath import PathChecker
 from .graph import TimingEdge, TimingGraph, propagate_levels
@@ -73,10 +74,10 @@ def _path_dict(ctx, graph: TimingGraph, p: TimingPath, clock,
     return d
 
 
-def analyze_timing(circuit, *, model="unit", clock=None, k: int = 4,
-                   sat: bool = True, budget: int = 20_000,
-                   max_pops: int = 20_000,
-                   max_sat: int = 200) -> TimingReport:
+def analyze_timing(circuit, *, model=_REQ.model, clock=_REQ.clock,
+                   k: int = _REQ.paths, sat: bool = _REQ.sat,
+                   budget: int = _REQ.budget, max_pops: int = 20_000,
+                   max_sat: int = _REQ.max_sat) -> TimingReport:
     """Run STA over a compiled circuit and return a
     :class:`TimingReport`.
 

@@ -50,8 +50,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..formal.solver import SolverStats
+from ..schema import design_block, need_design
+from ..schema import need as _need
 
 SCHEMA = "zeus.timing/1"
 
@@ -114,13 +117,7 @@ class TimingReport:
             summary["cycle"] = list(self.cycle)
         return {
             "schema": SCHEMA,
-            "design": {
-                "name": self.design,
-                "nets": self.stats.get("nets", 0),
-                "gates": self.stats.get("gates", 0),
-                "connections": self.stats.get("connections", 0),
-                "registers": self.stats.get("registers", 0),
-            },
+            "design": design_block(self.design, self.stats),
             "model": {"name": self.model_name,
                       "wire_factor": self.wire_factor},
             "clock": self.clock,
@@ -257,14 +254,7 @@ def validate_timing_report(report: dict) -> None:
     """Raise ``ValueError`` unless *report* conforms to
     ``zeus.timing/1``."""
 
-    def need(obj: dict, key: str, types, where: str):
-        if key not in obj:
-            raise ValueError(f"timing report: missing {where}.{key}")
-        if not isinstance(obj[key], types):
-            raise ValueError(
-                f"timing report: {where}.{key} must be {types}, "
-                f"got {type(obj[key]).__name__}")
-        return obj[key]
+    need = partial(_need, "timing report")
 
     num = (int, float)
     opt_num = (int, float, type(None))
@@ -275,10 +265,7 @@ def validate_timing_report(report: dict) -> None:
             f"timing report: schema must be {SCHEMA!r}, "
             f"got {report.get('schema')!r}")
 
-    design = need(report, "design", dict, "report")
-    need(design, "name", str, "design")
-    for key in ("nets", "gates", "connections", "registers"):
-        need(design, key, int, "design")
+    need_design(need, need(report, "design", dict, "report"), "design")
 
     model = need(report, "model", dict, "report")
     need(model, "name", str, "model")

@@ -1,6 +1,7 @@
 """Observability layer tests: spans, simulator metrics, export, CLI."""
 
 import json
+import time
 
 import pytest
 
@@ -65,6 +66,19 @@ class TestSpans:
         totals = reg.phase_totals()
         assert self_t["outer"] <= totals["outer"]
         assert self_t["inner"] == pytest.approx(totals["inner"])
+
+    def test_self_times_of_sibling_roots_sharing_a_path(self):
+        # Two roots with the same path (two daemon requests): each root
+        # loses only its own child, never the other's.
+        reg = SpanRegistry()
+        for _ in range(2):
+            with reg.span("request"):
+                with reg.span("compile"):
+                    time.sleep(0.01)
+        self_t = reg.self_times()
+        assert all(t >= 0 for t in self_t.values())
+        roots = sum(sp.duration for sp in reg.spans if sp.depth == 0)
+        assert sum(self_t.values()) == pytest.approx(roots)
 
     def test_disabled_registry_records_nothing(self):
         reg = SpanRegistry()
