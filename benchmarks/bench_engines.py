@@ -3,7 +3,15 @@
 Runs the `bench_blackjack`/`bench_adders` workloads on both simulation
 engines, exports one ``zeus.metrics/1`` report per (workload, engine)
 pair, and writes a ``zeus.bench.simulator/1`` summary (the repo-root
-``BENCH_simulator.json``) recording cycles/sec and the speedup.
+``BENCH_simulator.json``) recording cycles/sec and the speedup.  The
+levelized run is the engine as shipped: it interprets until its tier-up
+rule compiles the schedule, mid-run.
+
+``tiers`` times the levelized engine pinned to one tier for the whole
+run, with metrics collection off (on blackjack the per-cycle activity
+accounting costs more than the compiled pass itself):
+``interpreted``, and ``compiled`` with the compile done before the
+clock starts.  ``compiled_speedup`` is compiled over interpreted.
 
 Used by the CI benchmark-smoke job::
 
@@ -12,20 +20,23 @@ Used by the CI benchmark-smoke job::
 
 and by hand to refresh the committed numbers.  ``--min-speedup`` makes
 the run fail unless the blackjack levelized/dataflow ratio clears the
-bar (CI uses 3.0, the acceptance threshold).
+bar (CI uses 3.0, the acceptance threshold); ``--min-compiled-speedup``
+does the same for blackjack's compiled_speedup (CI uses 1.5).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import time
 
 import repro
+from repro.core.codegen import compile_step
 from repro.obs import metrics_report, validate_report, write_metrics
 from repro.obs import spans as _spans
-from repro.stdlib import programs
+from repro.stdlib import extras, programs
 
 BENCH_SCHEMA = "zeus.bench.simulator/1"
 
@@ -38,21 +49,34 @@ WORKLOADS = [
 ]
 
 
-def measure(text, top, pokes, engine, cycles, seed=0):
-    """Simulate *cycles* cycles on *engine*; return the validated
-    ``zeus.metrics/1`` report (with wall-clock cycles/sec)."""
-    registry = _spans.REGISTRY
-    registry.reset()
-    circuit = repro.compile_text(text, top=top)
-    sim = circuit.simulator(seed=seed, metrics=True, engine=engine)
-    if sim.engine != engine:
-        raise RuntimeError(f"wanted engine {engine}, got {sim.engine}")
+#: the levelized engine pinned to one tier: interpreted cycles before
+#: tier-up (``math.inf``: never; 0: compiled before the clock starts).
+TIERS = {"interpreted": math.inf, "compiled": 0}
+
+
+def _driven(circuit, pokes, **kwargs):
+    """A simulator past the reset cycle (when the design has RSET), with
+    the workload's steady pokes applied."""
+    sim = circuit.simulator(**kwargs)
+    if sim.engine != kwargs["engine"]:
+        raise RuntimeError(
+            f"wanted engine {kwargs['engine']}, got {sim.engine}")
     if "RSET" in pokes:
         sim.poke("RSET", 1)
         sim.step()
         sim.metrics.reset()
     for sig, val in pokes.items():
         sim.poke(sig, val)
+    return sim
+
+
+def measure(text, top, pokes, engine, cycles, seed=0):
+    """Simulate *cycles* cycles on *engine*; return the validated
+    ``zeus.metrics/1`` report (with wall-clock cycles/sec)."""
+    registry = _spans.REGISTRY
+    registry.reset()
+    circuit = repro.compile_text(text, top=top)
+    sim = _driven(circuit, pokes, seed=seed, metrics=True, engine=engine)
     t0 = time.perf_counter()
     sim.step(cycles)
     elapsed = time.perf_counter() - t0
@@ -60,6 +84,82 @@ def measure(text, top, pokes, engine, cycles, seed=0):
     validate_report(report)
     registry.reset()
     return report
+
+
+def measure_tiers(text, top, pokes, cycles, seed=0):
+    """Cycles/sec of the levelized engine pinned to each of
+    :data:`TIERS`, metrics off."""
+    circuit = repro.compile_text(text, top=top)
+    rates = {}
+    for tier, tier_at in TIERS.items():
+        sim = _driven(circuit, pokes, seed=seed, engine="levelized")
+        sim._tier_at = tier_at
+        if tier_at == 0:
+            sim._schedule.compiled = compile_step(sim._schedule,
+                                                  backend="scalar")
+        t0 = time.perf_counter()
+        sim.step(cycles)
+        rates[tier] = cycles / (time.perf_counter() - t0)
+        if (sim._compiled is None) != (tier == "interpreted"):
+            raise RuntimeError(f"{tier} run ran on the wrong tier")
+    return rates
+
+
+#: designs of the per-design tier table (EXPERIMENTS.md E19).
+TIER_DESIGNS = [
+    ("blackjack", lambda: programs.BLACKJACK),
+    ("tinycpu", lambda: extras.TINYCPU),
+    ("memory", lambda: programs.MEMORY),
+    ("ripple16", lambda: programs.ripple_carry(16)),
+    ("patternmatch", lambda: programs.PATTERNMATCH),
+    ("routing", lambda: programs.ROUTING),
+    ("mux4", lambda: programs.MUX4),
+]
+
+
+def _best_step_us(sim, cycles, repeat=5):
+    best = math.inf
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        sim.step(cycles)
+        best = min(best, time.perf_counter() - t0)
+    return best / cycles * 1e6
+
+
+def tier_table(cycles=200):
+    """Per design: the compile's time and Python allocation peak,
+    interpreted and compiled step time (best of 5 runs of
+    *cycles* undriven cycles, metrics off) and the real break-even
+    (compile time over the per-cycle saving)."""
+    import tracemalloc
+
+    rows = []
+    for name, text_fn in TIER_DESIGNS:
+        circuit = repro.compile_text(text_fn())
+        sim = circuit.simulator(strict=False)
+        sched = sim._schedule
+        sim._tier_at = math.inf
+        interp = _best_step_us(sim, cycles)
+        t0 = time.perf_counter()
+        compile_step(sched, backend="scalar")
+        compile_ms = (time.perf_counter() - t0) * 1e3
+        tracemalloc.start()
+        sched.compiled = compile_step(sched, backend="scalar")
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        sim._tier_at = 0
+        compiled = _best_step_us(sim, cycles)
+        rows.append({
+            "design": name,
+            "ops": len(sched.ops),
+            "compile_ms": compile_ms,
+            "compile_peak_mb": peak / 2**20,
+            "interpreted_us": interp,
+            "compiled_us": compiled,
+            "speedup": interp / compiled,
+            "break_even_cycles": compile_ms * 1e3 / (interp - compiled),
+        })
+    return rows
 
 
 def compact(report):
@@ -76,7 +176,8 @@ def compact(report):
 
 
 def run_benchmarks(cycles, metrics_dir=None, seed=0):
-    """Measure every workload on both engines; return the summary dict."""
+    """Measure every workload on both engines and on both levelized
+    tiers; return the summary dict."""
     results = {}
     for name, text_fn, top, pokes in WORKLOADS:
         text = text_fn()
@@ -89,10 +190,13 @@ def run_benchmarks(cycles, metrics_dir=None, seed=0):
             per_engine[engine] = compact(report)
         lev = per_engine["levelized"]["wall"]["cycles_per_s"]
         df = per_engine["dataflow"]["wall"]["cycles_per_s"]
+        tiers = measure_tiers(text, top, pokes, cycles, seed=seed)
         results[name] = {
             "cycles": cycles,
             "cycles_per_s": {"levelized": lev, "dataflow": df},
             "speedup": (lev / df) if df else 0.0,
+            "tiers": tiers,
+            "compiled_speedup": tiers["compiled"] / tiers["interpreted"],
             "reports": per_engine,
         }
     return {"schema": BENCH_SCHEMA, "workloads": results}
@@ -108,8 +212,26 @@ def main(argv=None):
                     help="also write per-run zeus.metrics/1 JSONs here")
     ap.add_argument("--min-speedup", type=float, default=None,
                     help="fail unless blackjack speedup clears this bar")
+    ap.add_argument("--min-compiled-speedup", type=float, default=None,
+                    help="fail unless blackjack compiled_speedup clears "
+                         "this bar")
+    ap.add_argument("--tier-table", action="store_true",
+                    help="print the per-design compiled-tier table "
+                         "(EXPERIMENTS.md E19) and exit")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
+
+    if args.tier_table:
+        print("| design | ops | compile ms | compile peak MB | "
+              "interpreted us | compiled us | speedup | "
+              "break-even cycles |")
+        print("|---|---|---|---|---|---|---|---|")
+        for r in tier_table():
+            print(f"| {r['design']} | {r['ops']} | {r['compile_ms']:.1f} | "
+                  f"{r['compile_peak_mb']:.1f} | "
+                  f"{r['interpreted_us']:.1f} | {r['compiled_us']:.1f} | "
+                  f"{r['speedup']:.1f}x | {r['break_even_cycles']:.0f} |")
+        return 0
 
     if args.metrics_dir:
         os.makedirs(args.metrics_dir, exist_ok=True)
@@ -120,16 +242,22 @@ def main(argv=None):
         print(f"{name:10s} levelized {rates['levelized']:>10,.0f} c/s   "
               f"dataflow {rates['dataflow']:>10,.0f} c/s   "
               f"speedup {res['speedup']:.1f}x")
+        tiers = res["tiers"]
+        print(f"{'':10s} interpreted {tiers['interpreted']:>8,.0f} c/s   "
+              f"compiled {tiers['compiled']:>10,.0f} c/s   "
+              f"compiled speedup {res['compiled_speedup']:.1f}x "
+              "(metrics off)")
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
     print(f"wrote {args.out}")
 
-    if args.min_speedup is not None:
-        got = summary["workloads"]["blackjack"]["speedup"]
-        if got < args.min_speedup:
-            print(f"FAIL: blackjack speedup {got:.2f}x "
-                  f"< required {args.min_speedup}x")
+    blackjack = summary["workloads"]["blackjack"]
+    for key, bar in (("speedup", args.min_speedup),
+                     ("compiled_speedup", args.min_compiled_speedup)):
+        if bar is not None and blackjack[key] < bar:
+            print(f"FAIL: blackjack {key} {blackjack[key]:.2f}x "
+                  f"< required {bar}x")
             return 1
     return 0
 
@@ -145,6 +273,8 @@ def test_bench_engines_summary_shape(tmp_path):
         res = summary["workloads"][name]
         assert res["cycles_per_s"]["levelized"] > 0
         assert res["cycles_per_s"]["dataflow"] > 0
+        assert res["tiers"]["interpreted"] > 0
+        assert res["compiled_speedup"] > 0
         for engine in ("levelized", "dataflow"):
             assert res["reports"][engine]["sim"]["engine"] == engine
             exported = os.path.join(out_dir, f"{name}-{engine}.json")

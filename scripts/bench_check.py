@@ -49,8 +49,11 @@ def committed_metrics(summary: dict) -> dict[str, float]:
     for name, res in summary.get("workloads", {}).items():
         for engine, rate in res.get("cycles_per_s", {}).items():
             out[f"workloads.{name}.cycles_per_s.{engine}"] = rate
-        if "speedup" in res:
-            out[f"workloads.{name}.speedup"] = res["speedup"]
+        for tier, rate in res.get("tiers", {}).items():
+            out[f"workloads.{name}.tiers.{tier}"] = rate
+        for key in ("speedup", "compiled_speedup"):
+            if key in res:
+                out[f"workloads.{name}.{key}"] = res[key]
     batched = summary.get("batched")
     if batched:
         for key, rate in batched.get("lane_cycles_per_s", {}).items():

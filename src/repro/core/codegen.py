@@ -41,6 +41,11 @@ emitter cannot handle raises :class:`CodegenError`; the caller falls
 back to the interpreted batched path, so ``engine="codegen"`` is never
 less capable than ``engine="batched"``.
 
+A third backend, ``"scalar"``, serves the lanes=1 levelized engine
+instead of the lane engines: it emits the schedule as straight-line
+Python over the simulator's own ``Logic`` value array (see
+:func:`compile_scalar`).
+
 Poke contract
 -------------
 
@@ -50,11 +55,15 @@ non-NOINFL poke values; :attr:`CompiledStep.poke_ok` names the classes.
 The :class:`Simulator` checks the active poke table against that set and
 runs the interpreted batched pass instead when an exotic poke (an INOUT
 pin, an internal net, a NOINFL lane) is present -- same observations,
-interpreter speed.
+interpreter speed.  The scalar backend has the same contract, except
+that a NOINFL poke on an input is merged like any other value; its
+``poke_ok`` is None, and the simulator tracks the contract from the
+schedule's ``input_defaults`` (it must know it before any compile).
 """
 
 from __future__ import annotations
 
+import importlib.util
 from typing import Callable
 
 from .schedule import (
@@ -74,12 +83,11 @@ from .schedule import (
 )
 from .values import Logic
 
-try:  # the numpy backend is optional; the int backend is always there
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via HAVE_NUMPY gates
-    _np = None
-
-HAVE_NUMPY = _np is not None
+# The numpy backend is optional (the int and scalar backends are always
+# there) and imported on first use: importing NumPy costs ~150 ms, which
+# a lanes=1 tier-up must not pay.
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
+_np = None
 
 #: Lane count at and above which ``backend="auto"`` picks the uint64
 #: word-array backend (measured crossover of big-int vs numpy plane op
@@ -87,10 +95,18 @@ HAVE_NUMPY = _np is not None
 NUMPY_LANE_THRESHOLD = 65536
 
 #: Explicit little-endian uint64, so int <-> word-array conversion via
-#: ``to_bytes(..., "little")`` is correct regardless of host order.
-WORD_DTYPE = _np.dtype("<u8") if HAVE_NUMPY else None
+#: ``to_bytes(..., "little")`` is correct regardless of host order (set
+#: by :func:`_numpy`).
+WORD_DTYPE = None
 
 BACKENDS = ("int", "numpy")
+
+#: Schedule ops per generated function of the scalar backend.  Python's
+#: compiler holds a whole function's AST and flow graph at once: one
+#: function for tinycpu's ~5k-line step raised the process high-water
+#: mark by 16 MB, 64-op chunks by ~2 MB, at the same cycle speed
+#: (EXPERIMENTS.md E19).
+SCALAR_CHUNK_OPS = 64
 
 
 class CodegenError(Exception):
@@ -106,6 +122,17 @@ def choose_backend(lanes: int) -> str:
     return "int"
 
 
+def _numpy():
+    """The numpy module, imported (and WORD_DTYPE set) on first use."""
+    global _np, WORD_DTYPE
+    if _np is None:
+        import numpy
+
+        WORD_DTYPE = numpy.dtype("<u8")
+        _np = numpy
+    return _np
+
+
 def words_for(lanes: int) -> int:
     """uint64 words needed to hold *lanes* plane bits."""
     return (lanes + 63) // 64
@@ -113,7 +140,7 @@ def words_for(lanes: int) -> int:
 
 def int_to_words(value: int, words: int):
     """One big-int plane -> little-endian uint64 word array."""
-    return _np.frombuffer(
+    return _numpy().frombuffer(
         value.to_bytes(words * 8, "little"), dtype=WORD_DTYPE
     )
 
@@ -134,18 +161,26 @@ class CompiledStep:
     same argument meaning, planes either ints or uint64 word arrays
     depending on :attr:`backend`.  :attr:`source` is the generated
     Python source (goldens in ``tests/test_codegen.py`` pin it down).
+
+    On the scalar backend ``fn(values, pokes, reg_state, rng_random,
+    conflict)`` mirrors :func:`repro.core.schedule.execute` instead, and
+    :attr:`latch` ``(values, reg_state) -> latched count`` is the REG
+    latch rule; :attr:`poke_ok` is None there (see "Poke contract").
     """
 
-    __slots__ = ("source", "fn", "backend", "poke_ok", "words", "n_ops")
+    __slots__ = ("source", "fn", "backend", "poke_ok", "words", "n_ops",
+                 "latch")
 
     def __init__(self, source: str, fn: Callable, backend: str,
-                 poke_ok: frozenset, words: int | None, n_ops: int):
+                 poke_ok: frozenset | None, words: int | None, n_ops: int,
+                 latch: Callable | None = None):
         self.source = source
         self.fn = fn
         self.backend = backend
         self.poke_ok = poke_ok
         self.words = words
         self.n_ops = n_ops
+        self.latch = latch
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -529,6 +564,336 @@ class _Emitter:
             self.emit("]")
 
 
+#: Names of the four ``Logic`` constants inside scalar generated code.
+_SCALAR_NAMES = {Logic.ZERO: "Z", Logic.ONE: "O", Logic.UNDEF: "U",
+                 Logic.NOINFL: "N"}
+_KNOWN = frozenset(_SCALAR_NAMES.values())
+
+
+def _any_is(names: list[str], const: str) -> str:
+    return " or ".join(f"{x} is {const}" for x in names)
+
+
+def _all_is(names: list[str], const: str) -> str:
+    return " and ".join(f"{x} is {const}" for x in names)
+
+
+class _ScalarEmitter:
+    """Schedule -> straight-line Python over ``Logic`` values.
+
+    Every op stores its class in place (``v[i] = ...``) in schedule
+    order, so a strict-mode conflict leaves exactly the interpreter's
+    partial ``values``.  Inside one chunk function a class read again is
+    a local ``x{i}``; a class whose value is fixed for every compiled
+    pass (free nets, SET sources, CONST drivers, and anything folded
+    from them) is one of the constants ``Z``/``O``/``U``/``N``.  Pokes
+    on those classes are outside the poke contract, so the fold holds.
+    """
+
+    def __init__(self, sched: Schedule):
+        self.sched = sched
+        self.chunks: list[list[str]] = []
+        self.lines: list[str] = []
+        self.items = 0
+        #: the chunk function signature, ``{}`` being the chunk number.
+        self.head = "_c{}(v, gp, r, rnd, cf, Z=Z, O=O, U=U, N=N)"
+        #: class -> local name (current chunk only) or constant name.
+        self.local: dict[int, str] = {}
+        self.known: dict[int, str] = {}
+
+    # -- chunking ----------------------------------------------------------
+
+    def item(self) -> None:
+        """Account one op; start a new chunk every SCALAR_CHUNK_OPS."""
+        if self.items % SCALAR_CHUNK_OPS == 0:
+            self.lines = [f"def {self.head.format(len(self.chunks))}:"]
+            self.chunks.append(self.lines)
+            self.local = dict(self.known)
+        self.items += 1
+
+    def emit(self, line: str, depth: int = 1) -> None:
+        self.lines.append("    " * depth + line)
+
+    def ref(self, i: int) -> str:
+        """A name holding class *i*'s value in the current chunk."""
+        name = self.local.get(i)
+        if name is None:
+            name = self.local[i] = f"x{i}"
+            self.emit(f"{name} = v[{i}]")
+        return name
+
+    def store(self, i: int, expr: str) -> None:
+        """``v[i] = expr``, keeping the value in a local (or, for a
+        folded constant, as that constant)."""
+        if expr in _KNOWN:
+            self.known[i] = self.local[i] = expr
+            self.emit(f"v[{i}] = {expr}")
+        else:
+            self.local[i] = f"x{i}"
+            self.emit(f"v[{i}] = x{i} = {expr}")
+
+    # -- emission ------------------------------------------------------------
+
+    def compile(self) -> tuple[list[str], list[str]]:
+        """The step chunks' sources and the latch chunks' sources."""
+        sched = self.sched
+        for i in sched.free_nets:
+            self.known[i] = "N"
+        for op in sched.source_ops:
+            if op[0] == OPC_SET:
+                self.known[op[1]] = _SCALAR_NAMES[op[2]]
+        for i, default in sched.input_defaults:
+            self.item()
+            self.store(i, f"gp({i}, {_SCALAR_NAMES[default]})")
+        for ri, qi in sched.reg_pairs:
+            self.item()
+            self.store(qi, f"r[{ri}]")
+        for op in sched.source_ops:
+            if op[0] == OPC_RANDOM:
+                self.item()
+                self.store(op[1], "O if rnd() < 0.5 else Z")
+        for op in sched.ops:
+            self.item()
+            self._emit_op(op)
+        steps = self.sources()
+
+        self.head, self.chunks, self.items = "_l{}(v, r, N=N)", [], 0
+        for ri, di in sched.latch_pairs:
+            self.item()
+            self.emit(f"x = v[{di}]")
+            self.emit("if x is not N:")
+            self.emit(f"r[{ri}] = x", 2)
+            self.emit("n += 1", 2)
+        for lines in self.chunks:
+            lines.insert(1, "    n = 0")
+            lines.append("    return n")
+        return steps, self.sources()
+
+    def sources(self) -> list[str]:
+        return ["\n".join(lines) + "\n" for lines in self.chunks]
+
+    def _emit_op(self, op: tuple) -> None:
+        code = op[0]
+        if code == OPC_COPY:
+            dst, src = op[1], op[2]
+            name = self.local.get(src)
+            if name is None:
+                name = self.local[src] = f"x{src}"
+                self.emit(f"v[{dst}] = {name} = v[{src}]")
+            else:
+                self.emit(f"v[{dst}] = {name}")
+            self.local[dst] = name
+            if name in _KNOWN:
+                self.known[dst] = name
+        elif code == OPC_CONST:
+            self.store(op[1], _SCALAR_NAMES[op[2]])
+        elif code == OPC_NOT:
+            a = self.ref(op[1])
+            if a in _KNOWN:
+                self.store(op[2], {"Z": "O", "O": "Z"}.get(a, "U"))
+            else:
+                self.store(op[2], f"O if {a} is Z else (Z if {a} is O else U)")
+        elif code in (OPC_AND, OPC_NAND):
+            self._emit_and_or(op[1], op[2], "Z", "O", code == OPC_NAND)
+        elif code in (OPC_OR, OPC_NOR):
+            self._emit_and_or(op[1], op[2], "O", "Z", code == OPC_NOR)
+        elif code == OPC_XOR:
+            self._emit_xor(op[1], op[2])
+        elif code == OPC_EQUAL:
+            self._emit_equal(op[1], op[2])
+        elif code == OPC_CLASS:
+            self._emit_class(op[1], op[2])
+        else:  # pragma: no cover - future opcodes land here explicitly
+            raise CodegenError(f"unknown opcode {code}")
+
+    def _emit_and_or(self, ins: tuple, out: int, ctrl: str, ident: str,
+                     invert: bool) -> None:
+        """AND (ctrl Z, identity O) and OR (ctrl O, identity Z): any
+        controlling input decides, all-identity gives the identity,
+        anything else (UNDEF, or NOINFL read as UNDEF) gives UNDEF."""
+        names = [self.ref(i) for i in ins]
+        on_ctrl, on_ident = (ident, ctrl) if invert else (ctrl, ident)
+        if ctrl in names:
+            self.store(out, on_ctrl)
+            return
+        dyn = [x for x in names if x not in _KNOWN]
+        undef = any(x != ident for x in names if x in _KNOWN)
+        if not dyn:
+            self.store(out, "U" if undef else on_ident)
+            return
+        rest = "U" if undef else (
+            f"{on_ident} if {_all_is(dyn, ident)} else U"
+        )
+        self.store(out, f"{on_ctrl} if {_any_is(dyn, ctrl)} else ({rest})")
+
+    def _emit_xor(self, ins: tuple, out: int) -> None:
+        """XOR: the parity of the inputs when all are defined, else
+        UNDEF."""
+        names = [self.ref(i) for i in ins]
+        if any(x in ("U", "N") for x in names):
+            self.store(out, "U")
+            return
+        flip = names.count("O") % 2 == 1
+        dyn = [x for x in names if x not in _KNOWN]
+        # hi: the result when an odd number of the dynamic inputs are
+        # ONE; lo: when an even number are (so also when none is left).
+        hi, lo = ("Z", "O") if flip else ("O", "Z")
+        if not dyn:
+            self.store(out, lo)
+            return
+        defined = " and ".join(f"({x} is Z or {x} is O)" for x in dyn)
+        if len(dyn) == 2:
+            parity = f"{lo} if {dyn[0]} is {dyn[1]} else {hi}"
+        else:
+            odd = " ^ ".join(f"({x} is O)" for x in dyn)
+            parity = f"{hi} if {odd} else {lo}"
+        self.store(out, f"({parity}) if {defined} else U")
+
+    def _emit_equal(self, pairs: tuple, out: int) -> None:
+        """EQUAL: ZERO when a defined bit pair differs, else ONE when
+        every pair is defined and equal, else UNDEF."""
+        differ: list[str] = []
+        same: list[str] = []
+        never_one = False
+        for ai, bi in pairs:
+            a, b = self.ref(ai), self.ref(bi)
+            if a in _KNOWN and b in _KNOWN:
+                if a in ("Z", "O") and b in ("Z", "O"):
+                    if a != b:
+                        self.store(out, "Z")
+                        return
+                else:
+                    never_one = True
+            elif a in _KNOWN or b in _KNOWN:
+                k, x = (a, b) if a in _KNOWN else (b, a)
+                if k in ("Z", "O"):
+                    differ.append(f"{x} is {'O' if k == 'Z' else 'Z'}")
+                    same.append(f"{x} is {k}")
+                else:
+                    never_one = True
+            else:
+                differ.append(f"{a} is Z and {b} is O or {a} is O and {b} is Z")
+                same.append(f"{a} is {b} and ({a} is Z or {a} is O)")
+        if never_one:
+            rest = "U"
+        elif same:
+            rest = f"O if {' and '.join(f'({s})' for s in same)} else U"
+        else:
+            rest = "O"
+        if differ:
+            self.store(out, f"Z if {' or '.join(differ)} else ({rest})")
+        else:
+            self.store(out, rest)
+
+    def _emit_class(self, dst: int, drivers: tuple) -> None:
+        """A driven class with the interpreter's resolution: guard ZERO
+        skips a driver, a guard neither ZERO nor ONE makes the class
+        UNDEF, NOINFL sources do not drive, and a second driving value
+        goes through ``cf`` in driver order (strict mode raises there,
+        before the class is stored).  ``dv`` holds the driving value so
+        far, NOINFL meaning none yet.  A guarded source not already in a
+        local is read only when its guard is ONE."""
+        dv_none = True  # statically: no driver can have set dv yet
+        ug_static = False
+        ug_used = False
+        for cond, src, const in drivers:
+            c = self.ref(cond) if cond >= 0 else "O"
+            if c == "Z":
+                continue
+            if c in ("U", "N"):
+                ug_static = True
+                continue
+            if const is not None:
+                s = _SCALAR_NAMES[const]
+            elif c == "O":
+                s = self.ref(src)
+            else:
+                s = self.local.get(src, f"v[{src}]")
+            if c != "O" and not ug_used:
+                self.emit("ug = False")
+                ug_used = True
+            if s == "N":  # a NOINFL source never drives
+                if c != "O":
+                    self.emit(f"if {c} is not O and {c} is not Z:")
+                    self.emit("ug = True", 2)
+                continue
+            body = []
+            if dv_none:
+                body.append(f"dv = {s}")
+            elif s in _KNOWN:
+                body.append(f"dv = {s} if dv is N else cf({dst}, dv, {s})")
+            else:
+                if s.startswith("v["):
+                    body.append(f"s = {s}")
+                    s = "s"
+                body.append(f"dv = {s} if dv is N else "
+                            f"(dv if {s} is N else cf({dst}, dv, {s}))")
+            if c == "O":
+                for line in body:
+                    self.emit(line)
+            else:
+                if dv_none:
+                    self.emit("dv = N")
+                self.emit(f"if {c} is O:")
+                for line in body:
+                    self.emit(line, 2)
+                self.emit(f"elif {c} is not Z:")
+                self.emit("ug = True", 2)
+            dv_none = False
+        dv = "N" if dv_none else "dv"
+        if ug_static:
+            self.store(dst, "U")
+        elif ug_used:
+            self.store(dst, f"U if ug else {dv}")
+        else:
+            self.store(dst, dv)
+
+
+def compile_scalar(sched: Schedule,
+                   func_name: str = "zeus_step") -> CompiledStep:
+    """Compile *sched* for the lanes=1 levelized engine.
+
+    The step function resets ``values`` in place from a template row
+    (free nets and SET constants pre-filled, as the interpreter's first
+    writes), then calls the chunk functions in order; each chunk
+    compiles separately, so the compiler never holds more than
+    :data:`SCALAR_CHUNK_OPS` ops at once.  The latch is emitted the same
+    way."""
+    emitter = _ScalarEmitter(sched)
+    steps, latches = emitter.compile()
+    driver = [
+        f"def {func_name}(v, pokes, r, rnd, cf):",
+        "    gp = pokes.get",
+        "    v[:] = T",
+        *(f"    _c{k}(v, gp, r, rnd, cf)" for k in range(len(steps))),
+        "",
+        "def zeus_latch(v, r):",
+        "    return " + (" + ".join(f"_l{k}(v, r)" for k in
+                                    range(len(latches))) or "0"),
+    ]
+    template = list(sched.none_row)
+    for i in sched.free_nets:
+        template[i] = Logic.NOINFL
+    for op in sched.source_ops:
+        if op[0] == OPC_SET:
+            template[op[1]] = op[2]
+    namespace: dict = {
+        "Z": Logic.ZERO, "O": Logic.ONE, "U": Logic.UNDEF,
+        "N": Logic.NOINFL, "T": template,
+    }
+    parts = steps + latches + ["\n".join(driver) + "\n"]
+    for part in parts:
+        try:
+            code = compile(part, "<zeus-codegen:scalar>", "exec")
+        except SyntaxError as exc:  # pragma: no cover - emitter bug guard
+            raise CodegenError(f"generated source does not compile: {exc}")
+        exec(code, namespace)
+    return CompiledStep(
+        "\n".join(parts), namespace[func_name], "scalar", None, None,
+        len(sched.ops), namespace["zeus_latch"],
+    )
+
+
 def compile_step(
     sched: Schedule,
     *,
@@ -540,7 +905,12 @@ def compile_step(
 
     ``backend="int"`` needs nothing extra; ``backend="numpy"`` needs
     *lanes* (for the word count) and an importable NumPy, else
-    :class:`CodegenError`."""
+    :class:`CodegenError`.  ``backend="scalar"`` is the lanes=1 step of
+    the levelized engine (:func:`compile_scalar`) and takes no *lanes*."""
+    if backend == "scalar":
+        if lanes is not None:
+            raise CodegenError("the scalar backend has no lanes")
+        return compile_scalar(sched, func_name)
     if backend == "auto":
         backend = choose_backend(lanes or 0)
     if backend not in BACKENDS:
@@ -562,7 +932,7 @@ def compile_step(
 
     namespace: dict = {}
     if backend == "numpy":
-        namespace["Z"] = _np.zeros(words, dtype=WORD_DTYPE)
+        namespace["Z"] = _numpy().zeros(words, dtype=WORD_DTYPE)
         namespace["I2W"] = lambda v, _w=words: int_to_words(v, _w)
         namespace["W2I"] = words_to_int
     try:

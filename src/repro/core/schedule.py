@@ -62,6 +62,14 @@ _NARY_CODES = {"AND": OPC_AND, "OR": OPC_OR, "NAND": OPC_NAND,
                "NOR": OPC_NOR, "XOR": OPC_XOR}
 
 
+#: The tier-up rule (ski rental): cycles interpreted on a schedule, by
+#: every simulator sharing it, before its scalar step is compiled.  About
+#: the median measured break-even of the stdlib and benchmark designs
+#: (202-500 cycles, EXPERIMENTS.md E19), and above 100, so a 100-cycle
+#: ``zeusc sim`` run never pays a compile.
+TIER_UP_CYCLES = 250
+
+
 class ScheduleError(Exception):
     """The semantics graph cannot be compiled to a static schedule
     (combinational cycle, or an order-dependent alias class)."""
@@ -70,8 +78,10 @@ class ScheduleError(Exception):
 class Schedule:
     """A static evaluation schedule for one elaborated design.
 
-    Immutable after :func:`build_schedule`; one instance is shared by
-    every cycle of the owning simulator.
+    Immutable after :func:`build_schedule`, except for two fields that
+    every simulator sharing the schedule (zeusd threads included) writes:
+    :attr:`compiled`, set once under the simulator's compile lock, and
+    :attr:`interp_cycles`, counted without a lock.
     """
 
     __slots__ = (
@@ -80,11 +90,14 @@ class Schedule:
         "free_nets",
         "input_defaults",
         "reg_pairs",
+        "latch_pairs",
         "source_ops",
         "ops",
         "n_gates",
         "n_drivers",
         "gate_ids",
+        "compiled",
+        "interp_cycles",
     )
 
     def __init__(self) -> None:
@@ -98,6 +111,8 @@ class Schedule:
         self.input_defaults: list[tuple[int, Logic]] = []
         #: ``(reg_index, q_class)`` pairs fired from register state.
         self.reg_pairs: list[tuple[int, int]] = []
+        #: ``(reg_index, d_class)`` pairs read by the REG latch.
+        self.latch_pairs: list[tuple[int, int]] = []
         #: input-less gates in gate-index order (RANDOM rng-order fidelity).
         self.source_ops: list[tuple] = []
         #: the topologically ordered body: one op per gate / driven class.
@@ -105,6 +120,14 @@ class Schedule:
         self.n_gates = 0
         self.n_drivers = 0
         self.gate_ids: list[int] = []
+        #: the scalar compiled step (a ``CompiledStep``), once some
+        #: simulator over this schedule tiered up; False when the
+        #: emitter refused the schedule.
+        self.compiled = None
+        #: cycles interpreted so far by every simulator sharing this
+        #: schedule (the tier-up rule's rent paid).  Unlocked: a lost
+        #: update between threads only delays the tier-up by a cycle.
+        self.interp_cycles = 0
 
     def describe(self) -> str:
         return (
@@ -218,6 +241,7 @@ def build_schedule(sim: "Simulator") -> Schedule:
         if sim._is_input[i] and not drivers_of[i]
     ]
     sched.reg_pairs = list(enumerate(sim._reg_q))
+    sched.latch_pairs = list(enumerate(sim._reg_d))
     sched.n_gates = len(gates)
     sched.n_drivers = len(drivers)
     sched.gate_ids = list(range(len(gates)))

@@ -28,11 +28,13 @@ from __future__ import annotations
 
 import random
 import re
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from ..lang.errors import SimulationError
 from ..obs.metrics import SimMetrics
+from . import schedule as _schedule_mod
 from .batched import LOGIC_PLANES, PLANE_LOGIC, lane_value, unpack
 from .batched import execute as _execute_batched
 from .elaborate import Design
@@ -40,7 +42,16 @@ from .netlist import Gate, Net
 from .schedule import Schedule, ScheduleError, build_schedule
 from .schedule import execute as _execute_schedule
 from .types import BOOLEAN
-from .values import Logic
+from .values import Logic, bits_of, num_of
+
+_ZERO = Logic.ZERO
+_ONE = Logic.ONE
+_UNDEF = Logic.UNDEF
+_NOINFL = Logic.NOINFL
+
+#: serializes scalar compiles, so simulators sharing a schedule (zeusd
+#: threads) compile it once.
+_COMPILE_LOCK = threading.Lock()
 
 #: Valid values for the ``engine=`` knob.
 ENGINES = ("auto", "levelized", "dataflow", "batched", "codegen")
@@ -89,7 +100,10 @@ class Simulator:
       compiled once into a static topological
       :class:`~repro.core.schedule.Schedule` of the REG-cut semantics
       graph and each cycle is a single pass over it (see
-      :mod:`repro.core.schedule`);
+      :mod:`repro.core.schedule`).  After ``TIER_UP_CYCLES`` cycles
+      interpreted on a schedule, the pass tiers up to straight-line
+      generated code (the ``"scalar"`` backend of
+      :mod:`repro.core.codegen`), cached on the schedule;
     * ``"dataflow"`` -- the original firing-rule engine (worklist + watch
       lists), the semantics oracle and the only engine able to run
       unchecked cyclic designs;
@@ -214,6 +228,19 @@ class Simulator:
         self.values: list[Logic | None] = [None] * n
         self._traces: list = []
         self._path_cache: dict[str, list[Net]] = {}
+        #: path -> (class indices, boolean flags, poked classes outside
+        #: the compiled step's poke contract): the poke/peek fast path.
+        self._plans: dict[str, tuple] = {}
+        #: input-default classes, the compiled step's poke contract
+        #: (None off the levelized engine: nothing to track).
+        self._poke_ok: frozenset | None = None
+        #: poked classes outside that contract; while any is poked,
+        #: cycles run on the interpreter.
+        self._exotic: set[int] = set()
+        #: the scalar CompiledStep this simulator runs (levelized engine,
+        #: after tier-up), and the interpreted-cycle count to tier up at.
+        self._compiled = None
+        self._tier_at = 0
 
         # Activity metrics (repro.obs).  ``record_firing=True`` is the
         # legacy spelling: metrics plus the ordered firing-event log.
@@ -324,6 +351,10 @@ class Simulator:
                     with span("schedule", design=self.design.name):
                         self._schedule = build_schedule(self)
                 self.engine = "levelized"
+                self._tier_at = _schedule_mod.TIER_UP_CYCLES
+                self._poke_ok = frozenset(
+                    i for i, _ in self._schedule.input_defaults
+                )
             except ScheduleError as exc:
                 if engine == "levelized":
                     raise SimulationError(
@@ -437,27 +468,45 @@ class Simulator:
         Accepts a Logic value, 0/1, "UNDEF"/"NOINFL", a bit list (index 1
         = LSB first, matching BIN), or an int for multi-bit signals.  On
         the batched engine the value broadcasts to every lane."""
-        nets = self.nets_of(path)
-        bits = _coerce_bits(value, len(nets), path)
+        plan = self._plans.get(path) or self._plan(path)
+        idx = plan[0]
+        bits = _coerce_bits(value, len(idx), path)
         if self.lanes is not None:
             M = self._lane_mask
-            for net, bit in zip(nets, bits):
+            for i, bit in zip(idx, bits):
                 b0, b1 = LOGIC_PLANES[bit]
-                self._bpokes[self._idx(net)] = (
-                    M if b0 else 0, M if b1 else 0, M
-                )
+                self._bpokes[i] = (M if b0 else 0, M if b1 else 0, M)
             self._cg_dirty = True
             return
-        for net, bit in zip(nets, bits):
-            self._pokes[self._idx(net)] = bit
+        pokes = self._pokes
+        for i, bit in zip(idx, bits):
+            pokes[i] = bit
+        if plan[2]:
+            self._exotic.update(plan[2])
 
     def unpoke(self, path: str) -> None:
         """Release a poked signal (it will default again)."""
-        for net in self.nets_of(path):
-            self._pokes.pop(self._idx(net), None)
+        idx, _flags, exotic = self._plans.get(path) or self._plan(path)
+        for i in idx:
+            self._pokes.pop(i, None)
             if self.lanes is not None:
-                self._bpokes.pop(self._idx(net), None)
+                self._bpokes.pop(i, None)
+        self._exotic.difference_update(exotic)
         self._cg_dirty = True
+
+    def _plan(self, path: str) -> tuple:
+        """Resolve and cache *path*'s poke/peek plan (KeyError when the
+        path is unknown)."""
+        nets = self.nets_of(path)
+        idx = tuple(self._idx(net) for net in nets)
+        ok = self._poke_ok
+        plan = (
+            idx,
+            tuple(net.kind == BOOLEAN for net in nets),
+            () if ok is None else tuple(i for i in idx if i not in ok),
+        )
+        self._plans[path] = plan
+        return plan
 
     def poke_lanes(self, path: str, values: Sequence) -> None:
         """Set a signal per lane (batched engine only).
@@ -552,8 +601,6 @@ class Simulator:
 
     def peek_lane_int(self, path: str, lane: int) -> int | None:
         """One lane's numeric value, or None when any bit is undefined."""
-        from .values import num_of
-
         return num_of(self.peek_lane(path, lane))
 
     # -- lane sessions (the zeusd multiplexer's primitives) -------------------
@@ -784,14 +831,13 @@ class Simulator:
         On the batched engine this reads lane 0."""
         if self.lanes is not None and self._values_stale:
             self._materialize_lane0()
+        idx, boolean, _exotic = self._plans.get(path) or self._plan(path)
+        values = self.values
         out: list[Logic] = []
-        for net in self.nets_of(path):
-            i = self._idx(net)
-            v = self.values[i]
-            if v is None:
-                v = Logic.UNDEF
-            if net.kind == BOOLEAN:
-                v = v.to_boolean()
+        for i, b in zip(idx, boolean):
+            v = values[i]
+            if v is None or (b and v is _NOINFL):
+                v = _UNDEF
             out.append(v)
         return out
 
@@ -804,9 +850,20 @@ class Simulator:
     def peek_int(self, path: str) -> int | None:
         """Numeric value (NUM convention: element 1 is the LSB), or None
         when any bit is undefined."""
-        from .values import num_of
-
-        return num_of(self.peek(path))
+        if self.lanes is not None and self._values_stale:
+            self._materialize_lane0()
+        idx = (self._plans.get(path) or self._plan(path))[0]
+        values = self.values
+        total = 0
+        bit = 1
+        for i in idx:
+            v = values[i]
+            if v is _ONE:
+                total |= bit
+            elif v is not _ZERO:
+                return None
+            bit <<= 1
+        return total
 
     # -- the cycle ------------------------------------------------------------
 
@@ -1076,18 +1133,54 @@ class Simulator:
 
     def _evaluate_levelized(self) -> None:
         """Fast path: one pass over the static schedule; the value array
-        is reused, nothing else is allocated per cycle."""
+        is reused, nothing else is allocated per cycle.  The pass is the
+        compiled step after tier-up, else the interpreter."""
         self._metrics_on = self.metrics.enabled
-        _execute_schedule(
-            self._schedule,
-            self.values,
-            self._pokes,
-            self._reg_state,
-            self.rng.random,
-            self._conflict,
-        )
+        step = self._compiled
+        if step is None or self._exotic:
+            step = self._tier_up()
+        if step is None:
+            _execute_schedule(
+                self._schedule,
+                self.values,
+                self._pokes,
+                self._reg_state,
+                self.rng.random,
+                self._conflict,
+            )
+            self._schedule.interp_cycles += 1
+        else:
+            step.fn(
+                self.values,
+                self._pokes,
+                self._reg_state,
+                self.rng.random,
+                self._conflict,
+            )
         if self._metrics_on:
             self._levelized_metrics()
+
+    def _tier_up(self):
+        """The compiled step to run this cycle, or None to interpret it.
+
+        Ski rental: the schedule is compiled once the cycles interpreted
+        on it (by every simulator sharing it) reach
+        :data:`~repro.core.schedule.TIER_UP_CYCLES`.  A cycle
+        with a poke outside the compiled step's poke contract (an INOUT
+        pin or an internal net) is always interpreted."""
+        if self._exotic:
+            return None
+        sched = self._schedule
+        step = sched.compiled
+        if step is None:
+            if sched.interp_cycles < self._tier_at:
+                return None
+            step = _compile_scalar(sched, self.design.name)
+        if not step:
+            return None  # the emitter refused this schedule
+        self._compiled = step
+        self.metrics.tier_up_cycle = self.cycle
+        return step
 
     def _levelized_metrics(self) -> None:
         """Activity accounting for one levelized pass.  The levelized
@@ -1349,6 +1442,11 @@ class Simulator:
                 self._latch_batched()
             return
         mon = self._metrics_on
+        if self._compiled is not None:
+            latched = self._compiled.latch(self.values, self._reg_state)
+            if mon:
+                self.metrics.latches += latched
+            return
         for ri, di in enumerate(self._reg_d):
             v = self.values[di]
             if v is not None and v is not Logic.NOINFL:
@@ -1424,6 +1522,10 @@ class Simulator:
         self._prev_values = [None] * len(self._prev_values)
         self.values = [None] * len(self.values)
         self._pokes.clear()
+        self._exotic.clear()
+        # Re-adopt the cached compiled step on the next cycle, so the
+        # fresh metrics record its tier-up cycle again.
+        self._compiled = None
         if self.flight is not None:
             self.flight.reset()
         if self.lanes is not None:
@@ -1493,6 +1595,22 @@ class Simulator:
         return sum(1 for v in self.values if v is not None)
 
 
+def _compile_scalar(sched: Schedule, design_name: str):
+    """Compile *sched*'s scalar step once, cached on the schedule (False
+    when the emitter refuses it)."""
+    from ..obs.spans import span
+    from .codegen import CodegenError, compile_step
+
+    with _COMPILE_LOCK:
+        if sched.compiled is None:
+            try:
+                with span("codegen", design=design_name):
+                    sched.compiled = compile_step(sched, backend="scalar")
+            except CodegenError:
+                sched.compiled = False
+    return sched.compiled
+
+
 def _gate_value(
     op: str, vals: list[Logic | None], rng: random.Random
 ) -> Logic | None:
@@ -1513,8 +1631,6 @@ def _coerce_bits(value: PokeValue, width: int, path: str) -> list[Logic]:
         if width == 1:
             bits = [_one_bit(value)]
         else:
-            from .values import bits_of
-
             bits = bits_of(value, width)
     elif isinstance(value, Iterable):
         bits = [_coerce_one(v) for v in value]
@@ -1537,5 +1653,5 @@ def _coerce_one(v: Logic | int | str) -> Logic:
 
 def _one_bit(v: int) -> Logic:
     if v in (0, 1):
-        return Logic.from_bit(v)
+        return _ONE if v else _ZERO
     raise ValueError(f"single-bit poke must be 0 or 1, got {v}")

@@ -276,7 +276,11 @@ def bits_of(value: int, width: int) -> list[Logic]:
         raise ValueError("BIN value must be non-negative")
     if value >= 1 << width:
         raise ValueError(f"BIN({value}, {width}): value does not fit")
-    return [Logic.from_bit((value >> i) & 1) for i in range(width)]
+    levels = _LEVELS
+    return [levels[(value >> i) & 1] for i in range(width)]
+
+
+_LEVELS = (Logic.ZERO, Logic.ONE)
 
 
 def num_of(bits: Sequence[Logic]) -> int | None:

@@ -14,6 +14,7 @@ A report is a plain JSON object:
       },
       "sim": {                          # omitted if no simulation ran
         "engine",                       # "levelized"|"dataflow"|"batched"
+        "tier_up_cycle"?,               # levelized: first compiled cycle
         "cycles", "firings", "firings_per_cycle_avg", "gate_evals",
         "driver_evals", "propagation_steps", "latches", "violations",
         "peak_cycle", "peak_cycle_firings",
@@ -287,6 +288,12 @@ def validate_report(report: dict) -> None:
         need(sim, "firings_per_cycle_avg", (int, float), "sim")
         if "engine" in sim:
             need(sim, "engine", str, "sim")
+        if "tier_up_cycle" in sim:
+            need(sim, "tier_up_cycle", int, "sim")
+            if sim["tier_up_cycle"] < 0:
+                raise ValueError(
+                    "metrics report: sim.tier_up_cycle must be >= 0"
+                )
         if len(need(sim, "firings_by_cycle", list, "sim")) != sim["cycles"]:
             raise ValueError(
                 "metrics report: sim.firings_by_cycle length must equal "

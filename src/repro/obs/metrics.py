@@ -80,6 +80,9 @@ class SimMetrics:
         self.gate_eval_counts = [0] * g
         self.gate_fire_counts = [0] * g
         self.firing_log: list[tuple[str, "Logic"]] = []
+        #: cycle at which the levelized engine switched to its compiled
+        #: step (None while it interprets, and on other engines).
+        self.tier_up_cycle: int | None = None
 
     # -- derived views -----------------------------------------------------
 
@@ -167,6 +170,8 @@ class SimMetrics:
                 for name, e, f in gates
             ],
         }
+        if self.tier_up_cycle is not None:
+            report["tier_up_cycle"] = self.tier_up_cycle
         if self.lanes is not None:
             report["batched"] = {
                 "lanes": self.lanes,
@@ -186,6 +191,8 @@ class SimMetrics:
             if self.backend is not None:
                 mode += f", {self.backend} planes"
             engine = f"{engine} ({self.lanes} lanes, {mode})"
+        if self.tier_up_cycle is not None:
+            engine += f" (compiled from cycle {self.tier_up_cycle})"
         lines = [
             f"engine            : {engine}",
             f"cycles            : {s['cycles']}",

@@ -8,6 +8,9 @@ Covers, for both plane backends (big-int and NumPy word arrays):
   NOINFL into a gate, which must read it as UNDEF);
 * a generated-source golden file for one stdlib design (mux4) so
   unintended emission changes show up in review;
+* the ``"scalar"`` backend (the levelized engine's compiled tier): gate
+  tables, constant folding, its own mux4 golden, chunking and the
+  compile's memory bound;
 * the exotic-poke contract: the int backend falls back to the
   interpreter per pass, the numpy backend demotes permanently until
   ``reset_state``;
@@ -17,7 +20,9 @@ Covers, for both plane backends (big-int and NumPy word arrays):
   snapshots must never leak into a later explain window).
 """
 
+import math
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +56,9 @@ BACKENDS = ("int", "numpy") if HAVE_NUMPY else ("int",)
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not importable")
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "mux4_codegen_int.txt"
+SCALAR_GOLDEN = (
+    pathlib.Path(__file__).parent / "golden" / "mux4_codegen_scalar.txt"
+)
 
 
 def _codegen_sim(circuit, lanes, backend="int", **kw):
@@ -294,6 +302,161 @@ class TestGeneratedSource:
         assert step.backend == "numpy"
         assert step.words == words_for(130) == 3
         assert "I2W(" in step.source or "Z" in step.source
+
+
+# -- the scalar backend (levelized engine, lanes=1) -----------------------
+
+
+def _scalar_sim(circuit, **kw):
+    """A levelized simulator already on its compiled step."""
+    sim = circuit.simulator(engine="levelized", **kw)
+    sim._tier_at = 0
+    return sim
+
+
+class TestScalarBackend:
+    @pytest.mark.parametrize("op,arity", GATE_CASES)
+    def test_all_operand_combinations(self, op, arity):
+        """Every element of {0,1,UNDEF,NOINFL}^arity poked on the inputs
+        (a NOINFL poke on an input is inside the scalar poke contract):
+        the compiled step must reproduce the interpreter's gate rules."""
+        circuit = _gate_circuit(op, arity)
+        sim = _scalar_sim(circuit)
+        ref = circuit.simulator(engine="dataflow")
+        for combo in itertools.product(ALL_LOGIC, repeat=arity):
+            for s in (sim, ref):
+                for j, v in enumerate(combo):
+                    s.poke(f"i{j}", v)
+                s.step()
+            assert sim.peek("y") == ref.peek("y"), (op, combo)
+        assert sim._compiled is not None and not sim._exotic
+
+    @pytest.mark.parametrize("expr", [
+        "EQUAL(i0, 0)", "EQUAL(i0, 1)", "AND(i0, 1)", "AND(i0, 0)",
+        "OR(i0, 0)", "OR(i0, 1)", "NAND(i0, 1)", "NOR(i0, 0)",
+        "XOR(i0, 1)", "XOR(i0, 0)", "XOR(i0, i0, 1)", "NOT 1",
+        "XOR(1, 0)", "XOR(1, 1)", "XOR(0, 0)", "XOR(0, 1, 1, 1)",
+        "XOR(AND(i0, 0), 1)", "XOR(OR(i0, 1), AND(i0, 0), 1)",
+    ])
+    def test_constant_operands_fold(self, expr):
+        circuit = compile_ok(
+            f"""
+            TYPE t = COMPONENT (IN i0: boolean; OUT y: boolean) IS
+            BEGIN y := {expr} END;
+            SIGNAL u: t;
+            """
+        )
+        sim = _scalar_sim(circuit)
+        ref = circuit.simulator(engine="dataflow")
+        for v in ALL_LOGIC:
+            for s in (sim, ref):
+                s.poke("i0", v)
+                s.step()
+            assert sim.peek("y") == ref.peek("y"), (expr, v)
+        assert sim._compiled is not None
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_constant_expressions(self, seed):
+        """Random gate trees over two inputs, the constants 0 and 1 and
+        an undriven net ``f``, so whole subtrees fold: for every 4-valued
+        input pair the outputs agree with the dataflow oracle and the
+        whole value array with the interpreter."""
+        rng = random.Random(seed)
+
+        def expr(depth):
+            if depth == 0 or rng.random() < 0.25:
+                return rng.choice(["0", "1", "0", "1", "i0", "i1", "f"])
+            op = rng.choice(["AND", "OR", "NAND", "NOR", "XOR", "EQUAL",
+                             "NOT"])
+            if op == "NOT":
+                return f"NOT {expr(0)}"
+            n = 2 if op == "EQUAL" else rng.randint(2, 3)
+            return f"{op}({', '.join(expr(depth - 1) for _ in range(n))})"
+
+        outs = [expr(3) for _ in range(6)]
+        body = "; ".join(f"y{k} := {e}" for k, e in enumerate(outs))
+        ys = ", ".join(f"y{k}" for k in range(len(outs)))
+        circuit = compile_ok(
+            f"""
+            TYPE t = COMPONENT (IN i0, i1: boolean; OUT {ys}: boolean) IS
+            SIGNAL f: boolean;
+            BEGIN {body} END;
+            SIGNAL u: t;
+            """
+        )
+        sim = _scalar_sim(circuit)
+        interp = circuit.simulator(engine="levelized")
+        interp._tier_at = math.inf
+        ref = circuit.simulator(engine="dataflow")
+        for a, b in itertools.product(ALL_LOGIC, repeat=2):
+            for s in (sim, interp, ref):
+                s.poke("i0", a)
+                s.poke("i1", b)
+                s.step()
+            for k, e in enumerate(outs):
+                assert sim.peek(f"y{k}") == ref.peek(f"y{k}"), (e, a, b)
+            assert sim.values == interp.values, (outs, a, b)
+        assert sim._compiled is not None and interp._compiled is None
+
+    def _mux4_scalar(self):
+        circuit = repro.compile_text(programs.ALL_PROGRAMS["mux4"], name="mux4")
+        return compile_step(circuit.simulator()._schedule, backend="scalar")
+
+    def test_mux4_matches_golden(self):
+        """The emitted scalar source for the stdlib mux4 design.  On an
+        intended emitter change, rewrite the golden file from
+        ``CompiledStep.source``."""
+        assert self._mux4_scalar().source == SCALAR_GOLDEN.read_text(), (
+            "generated source drifted from tests/golden/"
+            "mux4_codegen_scalar.txt"
+        )
+
+    def test_source_shape(self):
+        step = self._mux4_scalar()
+        assert step.backend == "scalar" and step.latch is not None
+        assert "for op in" not in step.source
+        assert "    v[:] = T\n" in step.source
+        # the simulator tracks the scalar poke contract from the schedule
+        assert step.poke_ok is None
+
+    def test_chunks_bound_ops_per_function(self):
+        from repro.stdlib import extras
+
+        sched = repro.compile_text(extras.TINYCPU).simulator()._schedule
+        step = compile_step(sched, backend="scalar")
+        chunks = step.source.count("def _c")
+        assert chunks == -(-(len(sched.ops) + len(sched.input_defaults)
+                             + len(sched.reg_pairs)) // codegen.SCALAR_CHUNK_OPS)
+        assert step.source.count("def _l") == -(
+            -len(sched.latch_pairs) // codegen.SCALAR_CHUNK_OPS
+        )
+
+    def test_compile_memory_is_bounded(self):
+        """Compiling tinycpu's step (~5.5k generated lines) stays under
+        8 MB of Python allocations: chunks keep the compiler's working
+        set small (one function for the whole step needed ~26 MB)."""
+        import gc
+        import tracemalloc
+
+        from repro.stdlib import extras
+
+        sched = repro.compile_text(extras.TINYCPU).simulator()._schedule
+        gc.collect()
+        tracemalloc.start()
+        try:
+            compile_step(sched, backend="scalar")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"scalar compile peaked at {peak} bytes"
+
+    def test_scalar_backend_has_no_lanes(self):
+        circuit = _gate_circuit("AND", 2)
+        sched = circuit.simulator()._schedule
+        with pytest.raises(CodegenError, match="no lanes"):
+            compile_step(sched, backend="scalar", lanes=4)
+        sim = circuit.simulator(engine="codegen", lanes=4, backend="scalar")
+        assert sim._cg is None and "fallback" in sim.engine_reason
 
 
 # -- exotic pokes: fallback and demotion ----------------------------------

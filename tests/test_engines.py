@@ -25,6 +25,7 @@ import pytest
 
 import repro
 from repro.cli import main
+from repro.core import schedule
 from repro.core.schedule import ScheduleError, build_schedule
 from repro.core.simulator import ENGINES
 from repro.lang import SimulationError
@@ -577,3 +578,233 @@ class TestBatchedKnobs:
         assert batched.vectors_checked == scalar.vectors_checked
         assert batched.engine == "batched"
         assert batched.lanes is not None
+
+
+# -- the compiled tier of the levelized engine -----------------------------
+
+
+@pytest.fixture
+def tier_up_now(monkeypatch):
+    """Force tier-up at cycle 0."""
+    monkeypatch.setattr(schedule, "TIER_UP_CYCLES", 0)
+
+
+def compiled_trace(circuit, **kw):
+    """run_trace on the levelized engine, asserting the compiled step
+    actually ran."""
+    sims = []
+    real = circuit.simulator
+
+    def spy(**skw):
+        sims.append(real(**skw))
+        return sims[-1]
+
+    circuit.simulator = spy
+    try:
+        result = run_trace(circuit, "levelized", **kw)
+    finally:
+        del circuit.simulator
+    assert sims[0]._compiled is not None
+    assert sims[0]._schedule.compiled.backend == "scalar"
+    return result
+
+
+INOUT = """
+TYPE t = COMPONENT (IN a, en: boolean; OUT y: boolean; z: multiplex) IS
+SIGNAL r: REG;
+SIGNAL p: boolean;
+BEGIN
+    IF en THEN z := a END;
+    p := NOT a;
+    r.in := XOR(z, p);
+    y := AND(z, r.out)
+END;
+SIGNAL u: t;
+"""
+
+
+class TestCompiledTier:
+    """The levelized engine's compiled step (``codegen`` backend
+    "scalar") against the dataflow oracle and the interpreter."""
+
+    @pytest.mark.parametrize("name", sorted(programs.ALL_PROGRAMS))
+    def test_stdlib_agrees(self, name, tier_up_now):
+        circuit = repro.compile_text(programs.ALL_PROGRAMS[name], name=name)
+        stim = port_stimulus(circuit)
+        assert compiled_trace(circuit, stimulus=stim) == run_trace(
+            circuit, "dataflow", stimulus=stim
+        )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_fuzz_dags_agree(self, seed, tier_up_now):
+        rng = random.Random(seed)
+        n_inputs = rng.randint(2, 5)
+        nodes = build_dag(rng, n_inputs, rng.randint(3, 12))
+        circuit = repro.compile_text(
+            render_zeus(n_inputs, nodes), strict=False
+        )
+
+        def stim(cycle):
+            return [(f"i{k}", (seed + cycle + k) % 2)
+                    for k in range(n_inputs)]
+
+        for strict in (True, False):
+            assert compiled_trace(
+                circuit, cycles=6, seed=seed, strict=strict, stimulus=stim
+            ) == run_trace(circuit, "dataflow", cycles=6, seed=seed,
+                           strict=strict, stimulus=stim)
+
+    def test_undriven_inputs_agree(self, tier_up_now):
+        circuit = repro.compile_text(programs.ALL_PROGRAMS["memory"])
+        assert compiled_trace(circuit) == run_trace(circuit, "dataflow")
+
+    def test_strict_conflict_same_error_and_partial_values(self):
+        circuit = repro.compile_text(CONFLICT, strict=False)
+        runs = []
+        for force in (False, True):
+            sim = circuit.simulator(engine="levelized")
+            if force:
+                sim._tier_at = 0
+            sim.poke("a", 1)
+            with pytest.raises(SimulationError) as exc:
+                sim.step()
+            assert (sim._compiled is not None) is force
+            runs.append((str(exc.value), list(sim.values),
+                         [str(v) for v in sim.violations]))
+        assert runs[0] == runs[1]
+        assert None in runs[0][1]  # the pass really stopped part-way
+
+    def test_lenient_conflicts_agree(self, tier_up_now):
+        circuit = repro.compile_text(CONFLICT, strict=False)
+
+        def stim(cycle):
+            return [("a", cycle % 2)]
+
+        got = compiled_trace(circuit, strict=False, stimulus=stim)
+        assert got == run_trace(circuit, "dataflow", strict=False,
+                                stimulus=stim)
+        assert got[1]
+
+    def test_random_gates_consume_rng_in_order(self, tier_up_now):
+        circuit = compile_ok(RANDOM_GATE)
+        streams = []
+        for engine in ("levelized", "dataflow"):
+            sim = circuit.simulator(engine=engine, seed=7)
+            sim.poke("a", 1)
+            stream = []
+            for _ in range(40):
+                sim.step()
+                stream.append((str(sim.peek_bit("y")),
+                               str(sim.peek_bit("z"))))
+            streams.append((stream, sim.rng.random()))
+        assert sim.engine == "dataflow" and streams[0] == streams[1]
+
+    def test_exotic_poke_falls_back_and_returns(self, tier_up_now):
+        circuit = compile_ok(INOUT)
+        sim = circuit.simulator(strict=False)
+        ref = circuit.simulator(engine="dataflow", strict=False)
+        schedule_runs = []
+        for cycle in range(12):
+            for s in (sim, ref):
+                s.poke("a", cycle % 2)
+                s.poke("en", (cycle // 2) % 2)
+                if cycle == 3:
+                    s.poke("z", 1)  # an INOUT pin
+                if cycle == 6:
+                    s.unpoke("z")
+                    s.poke("p", 0)  # an internal net
+                if cycle == 9:
+                    s.unpoke("p")
+            before = sim._schedule.interp_cycles
+            for s in (sim, ref):
+                s.step()
+            schedule_runs.append(sim._schedule.interp_cycles - before)
+            for path in ("y", "z", "p", "r.out"):
+                assert sim.peek(path) == ref.peek(path), (cycle, path)
+        # compiled, interpreted while z or p was poked, compiled again
+        assert schedule_runs == [0] * 3 + [1] * 6 + [0] * 3
+        assert sim._compiled is not None and not sim._exotic
+        assert [str(v) for v in sim.violations] == [
+            str(v) for v in ref.violations
+        ]
+
+    def test_reset_state_after_tier_up(self, tier_up_now):
+        circuit = repro.compile_text(programs.ALL_PROGRAMS["blackjack"])
+        stim = port_stimulus(circuit)
+
+        def run(sim):
+            rows = []
+            for cycle in range(10):
+                for sig, val in stim(cycle):
+                    sim.poke(sig, val)
+                sim.step()
+                rows.append((tuple(sim.values), tuple(sim._reg_state)))
+            return rows
+
+        sim = circuit.simulator(metrics=True)
+        first = run(sim)
+        assert sim.metrics.tier_up_cycle == 0
+        sim.reset_state()
+        assert sim.metrics.tier_up_cycle is None
+        assert run(sim) == first
+        assert sim.metrics.tier_up_cycle == 0
+
+    def test_tier_up_at_break_even(self):
+        circuit = repro.compile_text(programs.ALL_PROGRAMS["adders"],
+                                     name="adders")
+        sim = circuit.simulator(metrics=True)
+        at = schedule.TIER_UP_CYCLES
+        sim.step(at)
+        assert sim._compiled is None and sim._schedule.compiled is None
+        sim.step()
+        assert sim._compiled is not None
+        assert sim.metrics.tier_up_cycle == at
+        assert sim.metrics.to_dict()["tier_up_cycle"] == at
+
+    def test_hundred_cycle_cli_runs_stay_interpreted(self):
+        """A ``zeusc sim --cycles 100`` run of a bundled example never
+        pays a compile."""
+        import pathlib
+
+        examples = pathlib.Path(__file__).parent.parent / "examples" / "zeus"
+        for path in sorted(examples.glob("*.zeus")):
+            circuit = repro.compile_text(path.read_text(), strict=False)
+            sim = circuit.simulator(strict=False)
+            if sim.engine != "levelized":
+                continue
+            sim.step(100)
+            assert sim._schedule.compiled is None, path.name
+            assert sim._schedule.interp_cycles == 100, path.name
+
+    def test_shared_schedule_compiles_once(self, tier_up_now, monkeypatch):
+        from repro.core import codegen
+
+        calls = []
+        real = codegen.compile_step
+
+        def counting(*args, **kw):
+            calls.append(kw.get("backend"))
+            return real(*args, **kw)
+
+        monkeypatch.setattr(codegen, "compile_step", counting)
+        circuit = repro.compile_text(programs.ALL_PROGRAMS["blackjack"])
+        first = circuit.simulator()
+        second = circuit.simulator(schedule=first._schedule)
+        for sim in (first, second, first):
+            sim.step(3)
+        assert calls == ["scalar"]
+        assert first._compiled is second._compiled is not None
+
+    def test_interpreted_cycles_count_per_schedule(self):
+        circuit = repro.compile_text(programs.ALL_PROGRAMS["adders"],
+                                     name="adders")
+        first = circuit.simulator()
+        at = first._tier_at
+        first.step(at - 5)
+        second = circuit.simulator(schedule=first._schedule)
+        second.step(5)
+        assert second._compiled is None
+        second.step()
+        assert second._compiled is not None
+        first.step()
+        assert first._compiled is second._compiled
