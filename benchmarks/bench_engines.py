@@ -175,24 +175,26 @@ def compact(report):
     return out
 
 
-def run_benchmarks(cycles, metrics_dir=None, seed=0):
+def run_benchmarks(cycles, metrics_dir=None, seed=0, cycles_of=None):
     """Measure every workload on both engines and on both levelized
-    tiers; return the summary dict."""
+    tiers; return the summary dict.  *cycles_of* maps a workload name
+    to its own cycle count (default *cycles*)."""
     results = {}
     for name, text_fn, top, pokes in WORKLOADS:
         text = text_fn()
+        n = (cycles_of or {}).get(name, cycles)
         per_engine = {}
         for engine in ("levelized", "dataflow"):
-            report = measure(text, top, pokes, engine, cycles, seed=seed)
+            report = measure(text, top, pokes, engine, n, seed=seed)
             if metrics_dir:
                 path = os.path.join(metrics_dir, f"{name}-{engine}.json")
                 write_metrics(path, report)
             per_engine[engine] = compact(report)
         lev = per_engine["levelized"]["wall"]["cycles_per_s"]
         df = per_engine["dataflow"]["wall"]["cycles_per_s"]
-        tiers = measure_tiers(text, top, pokes, cycles, seed=seed)
+        tiers = measure_tiers(text, top, pokes, n, seed=seed)
         results[name] = {
-            "cycles": cycles,
+            "cycles": n,
             "cycles_per_s": {"levelized": lev, "dataflow": df},
             "speedup": (lev / df) if df else 0.0,
             "tiers": tiers,
@@ -267,8 +269,11 @@ def main(argv=None):
 def test_bench_engines_summary_shape(tmp_path):
     out_dir = str(tmp_path / "metrics")
     os.makedirs(out_dir)
-    summary = run_benchmarks(cycles=20, metrics_dir=out_dir)
+    summary = run_benchmarks(cycles=20, metrics_dir=out_dir,
+                             cycles_of={"adders": 25})
     assert summary["schema"] == BENCH_SCHEMA
+    assert summary["workloads"]["adders"]["cycles"] == 25
+    assert summary["workloads"]["blackjack"]["cycles"] == 20
     for name in ("blackjack", "adders"):
         res = summary["workloads"][name]
         assert res["cycles_per_s"]["levelized"] > 0

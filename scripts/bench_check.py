@@ -17,6 +17,12 @@ large factor even on slow CI hardware.  Ratio metrics (engine speedups,
 flight-recorder overhead) transfer across machines much better and are
 compared with the same band.
 
+The engine workloads (``workloads.<name>``) re-run at the cycle count
+committed with each, so a levelized run is compared with one of the
+same length: a short run is mostly interpreted and pays the tier-up
+compile, which would move its rate and speedup by more than the band.
+``--cycles`` sizes every other driver.
+
 Usage::
 
     PYTHONPATH=src python scripts/bench_check.py \
@@ -97,11 +103,13 @@ def committed_metrics(summary: dict) -> dict[str, float]:
     return out
 
 
-def fresh_summary(cycles: int, seed: int = 0) -> dict:
+def fresh_summary(cycles: int, seed: int = 0,
+                  cycles_of: dict[str, int] | None = None) -> dict:
     """One fresh pass of every benchmark driver, merged the same way
-    the committed file is built."""
+    the committed file is built.  *cycles_of* gives engine workloads
+    their own cycle counts (default *cycles*)."""
     summary = bench_engines.run_benchmarks(cycles, metrics_dir=None,
-                                           seed=seed)
+                                           seed=seed, cycles_of=cycles_of)
     summary["batched"] = bench_batched.run_benchmark(
         max(cycles // 20, 3), seed=seed
     )
@@ -152,7 +160,8 @@ def main(argv=None) -> int:
                     default=os.path.join(REPO, "BENCH_simulator.json"),
                     help="committed summary to compare against")
     ap.add_argument("--cycles", type=int, default=500,
-                    help="cycles per fresh measurement (default 500)")
+                    help="cycles per fresh measurement, except the engine "
+                         "workloads' committed counts (default 500)")
     ap.add_argument("--tolerance", type=float, default=0.30,
                     help="allowed fractional slowdown (default 0.30)")
     ap.add_argument("--report", metavar="FILE",
@@ -162,7 +171,10 @@ def main(argv=None) -> int:
 
     with open(args.baseline, encoding="utf-8") as f:
         committed = json.load(f)
-    fresh = fresh_summary(args.cycles, seed=args.seed)
+    cycles_of = {name: res["cycles"]
+                 for name, res in committed.get("workloads", {}).items()
+                 if "cycles" in res}
+    fresh = fresh_summary(args.cycles, seed=args.seed, cycles_of=cycles_of)
     result = compare(committed, fresh, args.tolerance)
 
     for row in result["metrics"]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from ..core.checker import dependency_graph, topological_order
+from ..core.graphview import GraphView, dependency_graph, topological_order
 from ..core.netlist import Net, Netlist
 from ..timing.graph import propagate_levels
 
@@ -20,9 +20,11 @@ def logic_levels(netlist: Netlist) -> dict[int, int]:
     outputs, constants) are level 0; every edge adds one.  Delegates to
     the shared timing-engine propagation (:mod:`repro.timing.graph`) —
     one levelization implementation for netstats, lint and STA."""
-    order = topological_order(netlist)
-    deps = dependency_graph(netlist)
-    return propagate_levels(order, deps)
+    return _levels(GraphView(netlist))
+
+
+def _levels(view: GraphView) -> dict[int, int]:
+    return propagate_levels(topological_order(view.netlist, view), view.deps)
 
 
 def logic_depth(netlist: Netlist) -> int:
@@ -33,10 +35,11 @@ def logic_depth(netlist: Netlist) -> int:
 
 def critical_path(netlist: Netlist) -> list[str]:
     """Net names along one deepest combinational path, source first."""
-    levels = logic_levels(netlist)
+    view = GraphView(netlist)
+    levels = _levels(view)
     if not levels:
         return []
-    deps = dependency_graph(netlist)
+    deps = view.deps
     node = max(levels, key=lambda nid: levels[nid])
     path = [node]
     while levels[node] > 0:

@@ -15,108 +15,36 @@ semantics graph:
   instance must be used, assigned, or explicitly closed with ``*``;
 * **SEQUENTIAL consistency** (section 4.5): a user-specified execution
   order must be compatible with the dataflow order;
-* undriven-signal warnings (the signal will read UNDEF).
+* undriven-signal warnings (the signal will read UNDEF), and
+  assigned-but-never-read warnings (:func:`~repro.core.graphview.write_only`,
+  the rule ``zeusc lint`` reports as ``write-only``).
+
+Every check reads one :class:`~repro.core.graphview.GraphView` of the
+netlist, derived once per run.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from dataclasses import dataclass
+from collections import Counter, defaultdict
+from itertools import chain
 
 from ..lang.errors import CheckError, DiagnosticSink
-from ..lang.source import NO_SPAN
 from .elaborate import Design
-from .netlist import Net, Netlist
+from .graphview import GraphView, dependency_graph, topological_order, write_only
+from .netlist import Net
 from .types import BOOLEAN
 
-
-@dataclass
-class _NetFacts:
-    uncond: int = 0
-    cond: int = 0
-    has_uncond_conn: bool = False  # a ':=' (not const) unconditional driver
-
-
-def dependency_graph(netlist: Netlist) -> dict[int, set[int]]:
-    """Combinational dependency edges over canonical net ids:
-    ``deps[dst]`` is the set of canonical nets *dst* depends on.
-    Gate outputs depend on gate inputs; connection targets depend on the
-    source and the guard; REG introduces no edges."""
-    deps: dict[int, set[int]] = defaultdict(set)
-    find = netlist.find
-    for gate in netlist.gates:
-        out = find(gate.output).id
-        for inp in gate.inputs:
-            deps[out].add(find(inp).id)
-    for conn in netlist.conns:
-        dst = find(conn.dst).id
-        deps[dst].add(find(conn.src).id)
-        if conn.cond is not None:
-            deps[dst].add(find(conn.cond).id)
-    for cc in netlist.const_conns:
-        if cc.cond is not None:
-            deps[find(cc.dst).id].add(find(cc.cond).id)
-    return deps
-
-
-def topological_order(netlist: Netlist) -> list[int]:
-    """Kahn topological order of canonical net ids; raises
-    :class:`CheckError` naming a cycle if one exists."""
-    deps = dependency_graph(netlist)
-    canon_ids = {netlist.find(n).id for n in netlist.nets}
-    indegree = {nid: 0 for nid in canon_ids}
-    fanout: dict[int, list[int]] = defaultdict(list)
-    for dst, srcs in deps.items():
-        for src in srcs:
-            fanout[src].append(dst)
-            indegree[dst] += 1
-    queue = deque(nid for nid, deg in indegree.items() if deg == 0)
-    order: list[int] = []
-    while queue:
-        nid = queue.popleft()
-        order.append(nid)
-        for nxt in fanout[nid]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                queue.append(nxt)
-    if len(order) != len(canon_ids):
-        cycle = _find_cycle(deps, {nid for nid, d in indegree.items() if d > 0})
-        names = " -> ".join(netlist.nets[nid].name for nid in cycle)
-        raise CheckError(
-            f"combinational feedback loop (not through a register): {names}"
-        )
-    return order
-
-
-def _find_cycle(deps: dict[int, set[int]], remaining: set[int]) -> list[int]:
-    start = next(iter(remaining))
-    path: list[int] = []
-    seen: dict[int, int] = {}
-    node = start
-    while node not in seen:
-        seen[node] = len(path)
-        path.append(node)
-        nxt = [d for d in deps.get(node, ()) if d in remaining]
-        if not nxt:
-            # Restart from another stuck node (shouldn't happen: every
-            # remaining node has a remaining predecessor).
-            remaining = remaining - set(path)
-            if not remaining:
-                return path
-            node = next(iter(remaining))
-            path.clear()
-            seen.clear()
-            continue
-        node = nxt[0]
-    return path[seen[node] :] + [node]
+__all__ = ["Checker", "check", "dependency_graph", "topological_order"]
 
 
 class Checker:
-    """Runs all graph checks over one elaborated design."""
+    """Runs all graph checks over one elaborated design, each reading
+    the one :class:`~repro.core.graphview.GraphView` of its netlist."""
 
     def __init__(self, design: Design):
         self.design = design
         self.netlist = design.netlist
+        self.view = GraphView(self.netlist)
         self.sink = DiagnosticSink(source=design.source)
 
     def run(self) -> DiagnosticSink:
@@ -130,69 +58,60 @@ class Checker:
     # -- acyclicity -----------------------------------------------------
 
     def check_acyclic(self) -> None:
+        if self.view.acyclic:
+            return
         try:
-            topological_order(self.netlist)
+            topological_order(self.netlist, self.view)  # names the cycle
         except CheckError as exc:
             self.sink.error(str(exc), exc.span, phase="check")
 
     # -- section 4.7 counting rules ---------------------------------------
 
-    def _net_facts(self) -> dict[int, _NetFacts]:
-        find = self.netlist.find
-        facts: dict[int, _NetFacts] = defaultdict(_NetFacts)
-        for conn in self.netlist.unique_conns():
-            f = facts[find(conn.dst).id]
-            if conn.cond is None:
-                f.uncond += 1
-                f.has_uncond_conn = True
-            else:
-                f.cond += 1
-        for cc in self.netlist.unique_const_conns():
-            f = facts[find(cc.dst).id]
-            if cc.cond is None:
-                f.uncond += 1
-            else:
-                f.cond += 1
-        return facts
-
     def check_assignment_rules(self) -> None:
-        find = self.netlist.find
-        facts = self._net_facts()
-        # Aggregate per-class membership to evaluate the aliasing rules.
-        classes: dict[int, list[Net]] = defaultdict(list)
-        for net in self.netlist.nets:
-            classes[find(net).id].append(net)
-        for canon_id, f in facts.items():
-            canon = self.netlist.nets[canon_id]
-            members = classes[canon_id]
+        view, canon = self.view, self.view.canon
+        conns, consts = view.unique_conns, view.unique_const_conns
+        # Deduplicated driver counts per canonical net.
+        assigned = Counter(canon[c.dst.id] for c in conns if c.cond is None)
+        constant = Counter(canon[c.dst.id] for c in consts if c.cond is None)
+        guarded = Counter(canon[c.dst.id] for c in chain(conns, consts)
+                          if c.cond is not None)
+        # In first-driver order.
+        for canon_id in dict.fromkeys(canon[c.dst.id] for c in chain(conns, consts)):
+            uncond = assigned.get(canon_id, 0) + constant.get(canon_id, 0)
+            cond = guarded.get(canon_id, 0)
+            # A ':=' (not constant) unconditional driver on an '==' class.
+            aliased = (view.aliased and canon_id in assigned
+                       and view.merged(canon_id))
+            if uncond <= 1 and not cond and not aliased:
+                continue
+            net = self.netlist.nets[canon_id]
+            members = view.members(canon_id)
             display = min((m.name for m in members if not m.name.startswith("$")),
-                          default=canon.name)
-            if f.uncond > 1:
+                          default=net.name)
+            if uncond > 1:
                 self.sink.error(
-                    f"signal {display!r} has {f.uncond} unconditional "
+                    f"signal {display!r} has {uncond} unconditional "
                     "assignments (exactly one is allowed; this could connect "
                     "power to ground)",
-                    canon.span,
+                    net.span,
                     phase="check",
                 )
-            if f.uncond >= 1 and f.cond >= 1:
+            if uncond >= 1 and cond >= 1:
                 self.sink.error(
                     f"signal {display!r} is assigned both conditionally and "
                     "unconditionally (section 4.7)",
-                    canon.span,
+                    net.span,
                     phase="check",
                 )
-            if f.cond >= 1:
+            if cond >= 1:
                 self._check_conditional_boolean(members, display)
-            if len(members) > 1 and f.has_uncond_conn:
-                booleans = [m for m in members if m.kind == BOOLEAN]
-                if booleans:
-                    self.sink.error(
-                        f"boolean signal {display!r} is aliased with == and "
-                        "also unconditionally assigned with := (section 4.1)",
-                        canon.span,
-                        phase="check",
-                    )
+            if aliased and any(m.kind == BOOLEAN for m in members):
+                self.sink.error(
+                    f"boolean signal {display!r} is aliased with == and "
+                    "also unconditionally assigned with := (section 4.1)",
+                    net.span,
+                    phase="check",
+                )
 
     def _check_conditional_boolean(self, members: list[Net], display: str) -> None:
         """Conditional assignment reaches this alias class: every boolean
@@ -241,14 +160,13 @@ class Checker:
     def check_sequential_constraints(self) -> None:
         if not self.design.seq_constraints:
             return
-        deps = dependency_graph(self.netlist)
-        find = self.netlist.find
+        view = self.view
         for earlier, later in self.design.seq_constraints:
-            earlier_ids = {find(n).id for n in earlier}
-            later_ids = {find(n).id for n in later}
+            earlier_ids = {view.canon[n.id] for n in earlier}
+            later_ids = {view.canon[n.id] for n in later}
             # The user claims `earlier` is computed before `later`: then no
             # earlier target may (combinationally) depend on a later target.
-            hit = self._reaches(deps, earlier_ids, later_ids)
+            hit = self._reaches(view.deps, view.rank, earlier_ids, later_ids)
             if hit is not None:
                 a, b = hit
                 self.sink.error(
@@ -261,19 +179,29 @@ class Checker:
 
     @staticmethod
     def _reaches(
-        deps: dict[int, set[int]], from_ids: set[int], targets: set[int]
+        deps: dict[int, set[int]], rank: list[int], from_ids: set[int],
+        targets: set[int],
     ) -> tuple[int, int] | None:
         """Is any of *targets* reachable (via deps) from any of *from_ids*?
-        Returns a witness (start, target) or None."""
+        Returns a witness (start, target) or None.
+
+        The search skips nets that cannot reach a target: those ranked
+        (``GraphView.rank``) after every target, and those an earlier,
+        fruitless search from another start already reached.  Skipping
+        them leaves the witness as a fresh search per start finds it."""
+        bound = max(rank[t] for t in targets)
+        seen: set[int] = set()
         for start in from_ids:
-            seen = {start}
+            if start in seen or rank[start] > bound:
+                continue
+            seen.add(start)
             stack = [start]
             while stack:
                 node = stack.pop()
                 for dep in deps.get(node, ()):
                     if dep in targets:
                         return (start, dep)
-                    if dep not in seen:
+                    if dep not in seen and rank[dep] <= bound:
                         seen.add(dep)
                         stack.append(dep)
         return None
@@ -281,22 +209,12 @@ class Checker:
     # -- warnings -----------------------------------------------------------
 
     def warn_undriven(self) -> None:
-        find = self.netlist.find
-        driven = {find(c.dst).id for c in self.netlist.conns}
-        driven |= {find(c.dst).id for c in self.netlist.const_conns}
-        driven |= {find(g.output).id for g in self.netlist.gates}
-        driven |= {find(r.q).id for r in self.netlist.regs}
-        read: set[int] = set()
-        for g in self.netlist.gates:
-            read |= {find(i).id for i in g.inputs}
-        for c in self.netlist.conns:
-            read.add(find(c.src).id)
-            if c.cond is not None:
-                read.add(find(c.cond).id)
-        for r in self.netlist.regs:
-            read.add(find(r.d).id)
-        inputs = {find(n).id for n in self.netlist.nets if n.is_input}
-        for nid in sorted(read - driven - inputs):
+        """Read-but-never-assigned, then assigned-but-never-read
+        warnings."""
+        view = self.view
+        for nid in sorted(view.reads - view.driven):
+            if any(m.is_input for m in view.members(nid)):
+                continue
             net = self.netlist.nets[nid]
             self.sink.warning(
                 f"signal {net.name!r} is read but never assigned; it will be "
@@ -304,19 +222,7 @@ class Checker:
                 net.span,
                 phase="check",
             )
-        self._warn_write_only()
-
-    def _warn_write_only(self) -> None:
-        """Assigned-but-never-read warnings, delegated to the lint
-        framework's write-only pass so the checker and ``zeusc lint``
-        agree on the exclusions (ports, ``==``-alias dedup, synthetic
-        nets)."""
-        from ..lint.context import LintContext
-        from ..lint.model import LintConfig
-        from ..lint.passes import write_only_pass
-
-        ctx = LintContext(self.design)
-        for finding in write_only_pass(ctx, LintConfig()):
+        for finding in write_only(view):
             self.sink.warning(finding.message, finding.span, phase="check")
 
 

@@ -202,41 +202,58 @@ class Netlist:
             nid = nxt
         return self.nets[root]
 
+    @property
+    def aliased(self) -> bool:
+        """Whether any ``==`` merge joined two nets (otherwise every net
+        is its own canonical representative)."""
+        return bool(self._alias_parent)
+
     def alias_class(self, net: Net) -> list[Net]:
         """All nets aliased with *net* (including itself)."""
         root = self.find(net)
         return [n for n in self.nets if self.find(n) is root]
 
-    def unique_conns(self) -> list[Conn]:
+    def canonical_ids(self) -> list[int]:
+        """Net id -> the id of its alias class's canonical net: one
+        :meth:`find` per net, the identity when nothing is aliased."""
+        if not self._alias_parent:
+            return list(range(len(self.nets)))
+        find = self.find
+        return [find(n).id for n in self.nets]
+
+    def unique_conns(self, canon: list[int] | None = None) -> list[Conn]:
         """Connections deduplicated over alias-canonical (src, dst, cond).
 
         The paper allows repeating a connection "as long as it is
         identical" (section 4.3) -- its own fulladder example wires
         ``h2.a`` twice -- so identical edges count as one driver.
+        *canon* is :meth:`canonical_ids`, when the caller has it.  The
+        key packs the three ids into one int, so no tuple is allocated.
         """
-        seen: set[tuple[int, int, int | None]] = set()
+        canon = self.canonical_ids() if canon is None else canon
+        m = len(canon) + 1
+        seen: set[int] = set()
         out: list[Conn] = []
         for c in self.conns:
-            key = (
-                self.find(c.src).id,
-                self.find(c.dst).id,
-                self.find(c.cond).id if c.cond is not None else None,
-            )
+            cond = c.cond
+            key = ((canon[c.src.id] * m + canon[c.dst.id]) * m
+                   + (0 if cond is None else canon[cond.id] + 1))
             if key not in seen:
                 seen.add(key)
                 out.append(c)
         return out
 
-    def unique_const_conns(self) -> list[ConstConn]:
-        """Constant drivers deduplicated like :meth:`unique_conns`."""
-        seen: set[tuple[Logic, int, int | None]] = set()
+    def unique_const_conns(self, canon: list[int] | None = None) -> list[ConstConn]:
+        """Constant drivers deduplicated over (value, dst, cond) like
+        :meth:`unique_conns`."""
+        canon = self.canonical_ids() if canon is None else canon
+        m = len(canon) + 1
+        seen: set[int] = set()
         out: list[ConstConn] = []
         for c in self.const_conns:
-            key = (
-                c.value,
-                self.find(c.dst).id,
-                self.find(c.cond).id if c.cond is not None else None,
-            )
+            cond = c.cond
+            key = ((canon[c.dst.id] * m + (0 if cond is None else canon[cond.id] + 1))
+                   * len(Logic) + c.value)
             if key not in seen:
                 seen.add(key)
                 out.append(c)

@@ -7,6 +7,9 @@ dependency graph and its topological order (or the offending cycle),
 fan-out counts and unit-delay levels.  :class:`LintContext` computes
 each of these once, lazily, and caches it so a full lint run performs a
 single traversal per structure regardless of how many passes consume it.
+The canonical classes, drivers, readers and dependency graph come from
+the checker's :class:`~repro.core.graphview.GraphView`, in class-index
+space (class index == net id when nothing is ``==``-aliased).
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
-from ..core.checker import dependency_graph
 from ..core.elaborate import Design
+from ..core.graphview import GraphView
 from ..core.netlist import Gate, Netlist
 from ..core.types import BOOLEAN
 from ..core.values import Logic
@@ -53,35 +56,30 @@ class DriverInfo:
 class LintContext:
     """Lazily computed, shared derived views of one elaborated design."""
 
-    def __init__(self, design: Design):
+    def __init__(self, design: Design, view: GraphView | None = None):
         self.design = design
         self.netlist: Netlist = design.netlist
-        find = self.netlist.find
-        nets = self.netlist.nets
-        self._canon = [find(n).id for n in nets]
-        canon_ids = sorted(set(self._canon))
-        self._index = {cid: i for i, cid in enumerate(canon_ids)}
+        #: the canonical net view shared with the checker's rules.
+        self.view = view or GraphView(self.netlist)
+        self._canon = self.view.canon
+        if self.view.aliased:
+            canon_ids = sorted(set(self._canon))
+            self._index = {cid: i for i, cid in enumerate(canon_ids)}
+        else:
+            # Every net is its own class, and class index == net id.
+            canon_ids = self._index = self._canon
         self.canon_ids = canon_ids
         self.n = len(canon_ids)
 
         # Class membership and display metadata.
-        self.members = [[] for _ in range(self.n)]
-        for net in nets:
-            self.members[self._index[self._canon[net.id]]].append(net)
-        self.display = [
-            min((m.name for m in ms if not m.name.startswith("$")),
-                default=ms[0].name)
-            for ms in self.members
-        ]
+        view = self.view
+        self.members = [view.members(cid) for cid in canon_ids]
+        self.display = [view.display(cid) for cid in canon_ids]
         self.is_boolean = [all(m.kind == BOOLEAN for m in ms)
                            for ms in self.members]
         self.is_input = [any(m.is_input for m in ms) for ms in self.members]
         self.is_output = [any(m.is_output for m in ms) for ms in self.members]
-        self.roles = [{m.role for m in ms} for ms in self.members]
-        self.spans = [
-            next((m.span for m in ms if m.span is not NO_SPAN), NO_SPAN)
-            for ms in self.members
-        ]
+        self.spans = [view.span(cid) for cid in canon_ids]
 
     def idx(self, net) -> int:
         """Canonical class index of a :class:`~repro.core.netlist.Net`."""
@@ -93,12 +91,12 @@ class LintContext:
     def drivers_of(self) -> list[list[DriverInfo]]:
         """Deduplicated drivers per class (``unique_conns`` semantics)."""
         out: list[list[DriverInfo]] = [[] for _ in range(self.n)]
-        for conn in self.netlist.unique_conns():
+        for conn in self.view.unique_conns:
             dst = self.idx(conn.dst)
             cond = self.idx(conn.cond) if conn.cond is not None else None
             out[dst].append(DriverInfo(len(out[dst]), dst, cond,
                                        self.idx(conn.src), None, conn.span))
-        for cc in self.netlist.unique_const_conns():
+        for cc in self.view.unique_const_conns:
             dst = self.idx(cc.dst)
             cond = self.idx(cc.cond) if cc.cond is not None else None
             out[dst].append(DriverInfo(len(out[dst]), dst, cond,
@@ -125,19 +123,8 @@ class LintContext:
     def readers(self) -> set[int]:
         """Classes consumed by anything: gate inputs, connection sources,
         guards, and register data pins."""
-        read: set[int] = set()
-        for gate in self.netlist.gates:
-            read.update(self.idx(i) for i in gate.inputs)
-        for conn in self.netlist.conns:
-            read.add(self.idx(conn.src))
-            if conn.cond is not None:
-                read.add(self.idx(conn.cond))
-        for cc in self.netlist.const_conns:
-            if cc.cond is not None:
-                read.add(self.idx(cc.cond))
-        for reg in self.netlist.regs:
-            read.add(self.idx(reg.d))
-        return read
+        index = self._index
+        return {index[c] for c in self.view.reads | self.view.const_guards}
 
     @cached_property
     def driven(self) -> set[int]:
@@ -153,12 +140,11 @@ class LintContext:
     def deps(self) -> dict[int, set[int]]:
         """Combinational dependency edges over class indices
         (``deps[dst]`` = classes *dst* combinationally depends on)."""
-        raw = dependency_graph(self.netlist)
-        remap: dict[int, set[int]] = defaultdict(set)
-        for dst, srcs in raw.items():
-            di = self._index[dst]
-            remap[di].update(self._index[s] for s in srcs)
-        return dict(remap)
+        # Fresh sets filled in the view's iteration order: the passes'
+        # traversal order, and so the witnesses they report, follow them.
+        index = self._index
+        return {index[dst]: {index[s] for s in srcs}
+                for dst, srcs in self.view.deps.items()}
 
     @cached_property
     def fanout_edges(self) -> dict[int, list[int]]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from typing import Callable
 
+from ..core.graphview import write_only
 from ..core.values import Logic
 from ..lang.errors import Severity
 from .context import LintContext
@@ -117,28 +118,11 @@ def comb_cycle_pass(ctx: LintContext, config: LintConfig) -> list[Finding]:
 
 
 def write_only_pass(ctx: LintContext, config: LintConfig) -> list[Finding]:
-    """Locally declared signals that are assigned but never read.
-    OUT/INOUT ports are excluded (driving them *is* their purpose), and
-    ``==``-aliased nets are reported once per alias class."""
-    findings = []
-    for ci in sorted(ctx.driven - ctx.readers):
-        if ctx.is_output[ci] or ctx.is_input[ci]:
-            continue
-        roles = ctx.roles[ci]
-        if roles & {"formal_out", "pin_out", "formal_inout", "pin_inout"}:
-            continue
-        display = ctx.display[ci]
-        if display.startswith("$"):
-            continue  # synthetic helper nets never warn
-        if ci in ctx.reg_q_of:
-            what = f"register output {display!r}"
-        else:
-            what = f"signal {display!r}"
-        findings.append(Finding(
-            WRITE_ONLY.name, Severity.WARNING,
-            f"{what} is assigned but never read",
-            ctx.span_of(ci), display))
-    return findings
+    """Signals assigned but never read: the rule the checker also warns
+    with (:func:`repro.core.graphview.write_only`), as findings."""
+    return [Finding(WRITE_ONLY.name, Severity.WARNING, w.message, w.span,
+                    w.display)
+            for w in write_only(ctx.view)]
 
 
 def dead_driver_pass(ctx: LintContext, config: LintConfig) -> list[Finding]:

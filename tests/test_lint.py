@@ -17,6 +17,7 @@ from repro.lint import (
     validate_lint_report,
 )
 from repro.lint.suppress import parse_suppressions
+from repro.stdlib import programs
 
 
 def compile_lenient(text, name="t"):
@@ -69,7 +70,7 @@ class TestProverVerdicts:
 
     def test_one_hot_decode_proved_exclusive(self):
         circuit = repro.compile_text(
-            repro.stdlib.programs.ALL_PROGRAMS["mux4"],
+            programs.ALL_PROGRAMS["mux4"],
             name="mux4", strict=False)
         report = run_lint(circuit)
         assert report.prover.proved_conflicting == 0
@@ -128,7 +129,7 @@ SIGNAL u: t;
     def test_stdlib_corpus_fully_classified(self):
         """Acceptance: the prover classifies every multi-driver
         multiplex net in the bundled paper programs -- no UNKNOWNs."""
-        for name, text in repro.stdlib.programs.ALL_PROGRAMS.items():
+        for name, text in programs.ALL_PROGRAMS.items():
             circuit = repro.compile_text(text, name=name, strict=False)
             report = run_lint(circuit)
             assert report.prover.unknown == 0, name
@@ -185,7 +186,7 @@ class TestProverDifferential:
 
     def test_mux4_proved_exclusive_never_violates(self):
         circuit = repro.compile_text(
-            repro.stdlib.programs.ALL_PROGRAMS["mux4"],
+            programs.ALL_PROGRAMS["mux4"],
             name="mux4", strict=False)
         report = run_lint(circuit)
         assert report.prover.proved_conflicting == 0
@@ -203,7 +204,7 @@ class TestProverDifferential:
     def test_stdlib_witnesses_replay(self):
         """Every PROVED-CONFLICTING verdict on the bundled programs
         comes with a witness that really burns transistors."""
-        for name, text in repro.stdlib.programs.ALL_PROGRAMS.items():
+        for name, text in programs.ALL_PROGRAMS.items():
             circuit = repro.compile_text(text, name=name, strict=False)
             report = run_lint(circuit)
             for finding in report.findings:
@@ -306,7 +307,7 @@ SIGNAL u: t;
 
     def test_reg_array_findings_are_grouped(self):
         circuit = repro.compile_text(
-            repro.stdlib.programs.ALL_PROGRAMS["memory"],
+            programs.ALL_PROGRAMS["memory"],
             name="memory", strict=False)
         report = run_lint(circuit)
         regs = [f for f in report.findings if f.rule == "reg-no-reset"]
