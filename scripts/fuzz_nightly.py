@@ -6,7 +6,9 @@ with guarded drivers, REG pipelines, FOR/WHEN meta-programmed
 replication -- see :mod:`repro.analysis.fuzzgen`) and runs the
 four-engine differential check on each: dataflow is the oracle;
 levelized, batched and codegen must agree observation for
-observation (the bit-parallel engines lane by lane).
+observation (the bit-parallel engines lane by lane).  Each program
+must also elaborate identically with the elaborator's instance memo on
+and off, alone and with its top type instantiated three times.
 
 Reproducibility: the base seed defaults to the UTC date (YYYYMMDD), so
 re-running the same nightly locally replays the same programs; pass
@@ -39,6 +41,8 @@ from repro.analysis.fuzzgen import (  # noqa: E402
     default_failure_predicate,
     differential_check,
     generate_program,
+    memo_differential,
+    memo_failure_predicate,
     shrink,
 )
 
@@ -56,13 +60,16 @@ def run(base_seed: int, budget: int, out_dir: str) -> int:
         res = differential_check(
             prog.text, cycles=CYCLES, n_vectors=VECTORS, seed=seed
         )
+        failing = default_failure_predicate(
+            cycles=CYCLES, n_vectors=VECTORS, seed=seed
+        )
+        if res.ok:
+            res = memo_differential(prog)
+            failing = memo_failure_predicate
         if res.ok:
             continue
         failures += 1
         print(f"FAIL seed {seed}: {res.detail}")
-        failing = default_failure_predicate(
-            cycles=CYCLES, n_vectors=VECTORS, seed=seed
-        )
         small = shrink(prog, failing)
         with open(os.path.join(out_dir, f"fail-{seed}.zeus"), "w") as f:
             f.write(small.text)

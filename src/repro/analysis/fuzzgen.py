@@ -16,7 +16,11 @@ module owns the three pieces every fuzz consumer shares:
   violations (per lane on the batched engine);
 * :func:`shrink` -- statement-level delta debugging: greedily drop
   statements while the failure predicate keeps failing, so a nightly
-  fuzz catch is reported as a minimal reproducing program.
+  fuzz catch is reported as a minimal reproducing program;
+* :func:`memo_check` -- elaborate one program with the elaborator's
+  instance memo on and off and compare everything elaboration produces
+  (:func:`memo_differential` adds a copy of the program whose top type
+  is instantiated several times, so the memo has repeats to stamp).
 
 ``tests/test_fuzz.py`` drives the fast deterministic slice;
 ``scripts/fuzz_nightly.py`` runs the long seeded budget and uploads
@@ -154,6 +158,20 @@ class FuzzProgram:
 
     def inputs(self) -> list[str]:
         return [f"i{k}" for k in range(self.n_inputs)]
+
+    def replicated(self, copies: int = 3) -> str:
+        """The program with its top type instantiated *copies* times by
+        a wrapper component (``FOR``-replicated repeats of one type)."""
+        ins = ", ".join(self.inputs())
+        return self.text.replace("SIGNAL u: t;\n", "") + (
+            f"TYPE w = COMPONENT (IN {ins}: boolean; "
+            f"OUT y0, y1: boolean) IS\n"
+            f"SIGNAL c: ARRAY [1..{copies}] OF t;\n"
+            f"BEGIN\n"
+            f"    FOR k := 1 TO {copies} DO c[k]({ins}, *, *) END;\n"
+            f"    y0 := c[1].y0;\n    y1 := c[{copies}].y1\n"
+            f"END;\nSIGNAL v: w;\n"
+        )
 
     def __str__(self) -> str:
         return self.text
@@ -400,6 +418,104 @@ def _diff_detail(expected, got, outs) -> str:
     if e_viols != g_viols:
         return f"violations: oracle {e_viols} got {g_viols}"
     return "mismatch (unlocated)"
+
+
+# -- the instance memo: stamped copies vs full elaboration ----------------
+
+
+def elab_snapshot(design) -> dict:
+    """Everything elaboration produces, as plain comparable values: the
+    netlist field by field (ids, names, kinds, roles, spans, list order),
+    alias classes, ``signals``, instances with their types and touched
+    pins, ``pin_owner``, SEQUENTIAL constraints, diagnostics, and the
+    layout engine's floorplan (computed last: a layout WITH may force a
+    lazy instance)."""
+    from ..lang.errors import ZeusError
+    from ..layout.floorplan import LayoutEngine
+
+    nl = design.netlist
+
+    def ids(nets) -> list[int]:
+        return [n.id for n in nets]
+
+    def cond(c):
+        return None if c.cond is None else c.cond.id
+
+    snap = {
+        "nets": [(n.id, n.name, n.kind, n.span, n.is_input, n.is_output, n.role)
+                 for n in nl.nets],
+        "gates": [(g.id, g.op, ids(g.inputs), g.output.id, g.span)
+                  for g in nl.gates],
+        "conns": [(c.src.id, c.dst.id, cond(c), c.span) for c in nl.conns],
+        "const_conns": [(c.value, c.dst.id, cond(c), c.span)
+                        for c in nl.const_conns],
+        "regs": [(r.id, r.d.id, r.q.id, r.name, r.span) for r in nl.regs],
+        "aliases": (nl.stats()["alias_merges"], nl.canonical_ids()),
+        "ports": [(p.name, p.mode, ids(p.nets)) for p in nl.ports],
+        "signals": [(k, ids(v)) for k, v in nl.signals.items()],
+        "instances": [(t.path, t.type, t.is_instance, sorted(t.touched))
+                      for t in design.instances],
+        "pin_owner": [(k, t.path) for k, t in design.pin_owner.items()],
+        "seq_constraints": [(ids(a), ids(b))
+                            for a, b in design.seq_constraints],
+        "diagnostics": [(d.severity, d.message, d.span, d.phase)
+                        for d in design.sink.diagnostics],
+        "top": (design.name, design.top.path, design.top_type),
+    }
+    try:
+        snap["layout"] = LayoutEngine(design).floorplan()
+    except ZeusError as exc:
+        snap["layout"] = f"error: {exc}"
+    return snap
+
+
+def memo_check(text: str, top: str | None = None) -> DifferentialResult:
+    """Elaborate *text* with the instance memo on and off; the two
+    results (or elaboration errors) must be identical."""
+    from ..core.elaborate import Elaborator
+    from ..lang.errors import ZeusError
+    from ..lang.parser import parse
+    from ..lang.source import SourceText
+
+    snaps = []
+    for memoize in (True, False):
+        source = SourceText(text, "memo")
+        try:
+            elaborator = Elaborator(parse(source), source)
+            elaborator._memoize = memoize
+            snaps.append(elab_snapshot(elaborator.run(top)))
+        except ZeusError as exc:
+            snaps.append({"error": (type(exc).__name__, str(exc))})
+    on, off = snaps
+    for key in off:
+        if on.get(key) != off[key]:
+            where = _first_difference(on.get(key), off[key])
+            return DifferentialResult(False, f"memo on vs off: {key} differ{where}")
+    return DifferentialResult(True)
+
+
+def _first_difference(on, off) -> str:
+    if isinstance(on, list) and isinstance(off, list):
+        for k, (a, b) in enumerate(zip(on, off)):
+            if a != b:
+                return f" at [{k}]: on {a!r}, off {b!r}"
+        return f" in length: on {len(on)}, off {len(off)}"
+    return ""
+
+
+def memo_differential(prog: FuzzProgram) -> DifferentialResult:
+    """:func:`memo_check` on *prog* and on its replicated form."""
+    res = memo_check(prog.text)
+    return res if not res.ok else memo_check(prog.replicated())
+
+
+def memo_failure_predicate(prog: FuzzProgram) -> bool:
+    """A :func:`shrink` predicate: True while *prog* fails
+    :func:`memo_differential`."""
+    try:
+        return not memo_differential(prog).ok
+    except Exception:
+        return False
 
 
 # -- the shrinker --------------------------------------------------------

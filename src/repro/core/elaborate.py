@@ -17,6 +17,10 @@ types -- and flattens the component hierarchy into a
 Component instances are **lazy**: a declared signal of a component type
 with a body materialises only when first referenced -- the termination
 mechanism of the paper's recursive htree/routing-network declarations.
+They are also **memoized**: a component type is a pure function of its
+constant arguments, so each distinct instance is elaborated once per
+compile and its repeats are stamped from that first elaboration (see
+:meth:`Elaborator.instantiate_component`).
 
 The elaborator also enforces the *directional* static rules (who may
 assign what); the counting rules of section 4.7 (single unconditional
@@ -27,6 +31,7 @@ graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import islice
 from typing import Any, Union
 
 from ..lang import ast
@@ -40,7 +45,7 @@ from .consteval import (
     eval_int,
     is_signal_const,
 )
-from .netlist import Net, Netlist
+from .netlist import Conn, ConstConn, Gate, Net, Netlist, Reg
 from .sigtree import (
     ArrayTree,
     BitTree,
@@ -70,6 +75,10 @@ from .values import Logic
 GATE_OPS = frozenset(["AND", "OR", "NAND", "NOR", "XOR", "NOT", "EQUAL", "RANDOM"])
 
 _MAX_DEPTH = 150
+
+#: Failed template tries after which an instance key is elaborated in
+#: full every time.
+_MEMO_TRIES = 8
 
 
 class StarFill:
@@ -189,8 +198,63 @@ def build_pervasive_env() -> Env:
     return env
 
 
+@dataclass
+class _Marks:
+    """Lengths of every list and table elaboration appends to, plus the
+    counters any change of which makes an instance unfit to be a
+    template.  Taken when an instance's recording starts and ends."""
+
+    nets: int
+    gates: int
+    conns: int
+    consts: int
+    regs: int
+    aliases: int
+    instances: int
+    seq: int
+    signals: int
+    pin_owner: int
+    not_cache: int
+    and_cache: int
+    diagnostics: int
+    fn_counter: int
+    shared: int
+    depth: int
+
+
+@dataclass
+class _Template:
+    """The first elaboration of an instance key: the ranges it appended
+    to the live netlist and tables (between *start* and *end*), the keys
+    it added to the ordered dicts, and snapshots of what outside code may
+    still change on the instance and its nested instance pins."""
+
+    root: CompTree
+    start: _Marks
+    end: _Marks
+    #: Deepest nesting below the instance.
+    height: int
+    #: Failed tries of this key so far (a stamp that fails adds one).
+    tries: int
+    signals: list[str]
+    pin_owner: list[int]
+    not_cache: list[tuple[int, Net]]
+    and_cache: list[tuple[Any, Net]]
+    touched: dict[CompTree, frozenset[int]]
+    signatures: dict[CompTree, list[tuple]]
+
+
+class _NotStampable(Exception):
+    """A template refers to something a copy cannot take over."""
+
+
 class Elaborator:
     """Elaborates one program.  Use :func:`elaborate` for the public API."""
+
+    #: Stamp repeated instances from a template.  Only the memo-on vs
+    #: memo-off comparison (``repro.analysis.fuzzgen.memo_check``) and
+    #: tests switch it off.
+    _memoize = True
 
     def __init__(
         self,
@@ -219,6 +283,18 @@ class Elaborator:
         #: are appended here (SEQUENTIAL consistency bookkeeping); forced
         #: instance bodies suspend it.
         self._target_log: list[Net] | None = None
+        #: Every ``==`` merge as a net-id pair, in order (stamps replay it).
+        self._aliases: list[tuple[int, int]] = []
+        #: Ids of the nets every instance sees alike: CLK, RSET, the
+        #: constants, and the cached gates over only such nets.
+        self._shared: set[int] = set()
+        #: Instance key -> its template, or the number of failed tries
+        #: while it has none.
+        self._memo: dict[tuple, _Template | int] = {}
+        #: The deepest instance nesting reached (for template heights).
+        self._peak = 0
+        #: Instance trees made by stamping, for the ``elaborate`` span.
+        self.stamped = 0
 
     # ------------------------------------------------------------------
     # program level
@@ -248,6 +324,10 @@ class Elaborator:
                 f"top signal {name!r} is not an instantiated component with a body"
             )
         self._mark_top_ports(tree)
+        # The templates index nets that now exist for good; a lazy signal
+        # the layout engine forces later starts a fresh memo.
+        self._memo.clear()
+        self._aliases.clear()
         return Design(
             name=name,
             netlist=self.netlist,
@@ -374,6 +454,7 @@ class Elaborator:
             )
         assert binding.closure is not None and binding.type_ast is not None
         inner = binding.closure.child()
+        inner.scope_key = (binding.closure, tuple(args))
         for p, a in zip(binding.params, args):
             inner.bind(p, ConstBinding(a))
         return self.elab_type(binding.type_ast, inner, binding.name, tuple(args))
@@ -467,10 +548,8 @@ class Elaborator:
                     f"declarations ({path})",
                     span,
                 )
-            if t.name == "REG" and t.decl_ast is None:
-                return LazyTree(t, lambda: self.instantiate_reg(path, span))
-            if t.has_body:
-                return LazyTree(t, lambda: self.instantiate_component(t, path, span))
+            if t.has_body or (t.name == "REG" and t.decl_ast is None):
+                return self._lazy(t, path, span)
             # Record type: a bundle of wires, all role "local".
             return self._make_record_wires(path, t, span)
         raise ElaborationError(f"cannot instantiate type {t.describe()}", span)
@@ -489,15 +568,8 @@ class Elaborator:
             elif isinstance(p.type, ArrayV):
                 fields[p.name] = self._record_wire_array(sub, p.type, span)
             elif isinstance(p.type, ComponentV):
-                if p.type.has_body:
-                    fields[p.name] = LazyTree(
-                        p.type,
-                        (lambda pt=p.type, sp=sub: self.instantiate_component(pt, sp, span)),
-                    )
-                elif p.type.name == "REG" and p.type.decl_ast is None:
-                    fields[p.name] = LazyTree(
-                        p.type, (lambda sp=sub: self.instantiate_reg(sp, span))
-                    )
+                if self._is_nested_instance_type(p.type):
+                    fields[p.name] = self._lazy(p.type, sub, span)
                 else:
                     fields[p.name] = self._make_record_wires(sub, p.type, span)
             else:  # pragma: no cover
@@ -516,16 +588,20 @@ class Elaborator:
             elif isinstance(t.element, ComponentV) and not t.element.has_body:
                 elems.append(self._make_record_wires(sub, t.element, span))
             else:
-                elems.append(
-                    LazyTree(
-                        t.element,
-                        (lambda et=t.element, sp=sub: self.instantiate_component(et, sp, span)),  # type: ignore[arg-type]
-                    )
-                )
+                elems.append(self._lazy(t.element, sub, span))  # type: ignore[arg-type]
         nets = [n for e in elems for n in (e.leaves() if not isinstance(e, LazyTree) else [])]
         if nets:
             self.netlist.register_signal(path, nets)
         return ArrayTree(t, elems)
+
+    def _lazy(self, t: ComponentV, path: str, span: Span) -> LazyTree:
+        """A signal of component type *t* (a REG or a component with a
+        body) that is instantiated when first referenced."""
+        if t.name == "REG" and t.decl_ast is None:
+            return LazyTree(t, lambda: self.instantiate_reg(path, span), path, span)
+        return LazyTree(
+            t, lambda: self.instantiate_component(t, path, span), path, span
+        )
 
     def instantiate_reg(self, path: str, span: Span) -> CompTree:
         t = self.reg_type()
@@ -549,7 +625,14 @@ class Elaborator:
         self, comp: ComponentV, path: str, span: Span = NO_SPAN
     ) -> CompTree:
         """Force one component instance: pins, local declarations, layout
-        replacements, body statements (and RESULT for functions)."""
+        replacements, body statements (and RESULT for functions).
+
+        A component type is a pure function of its constant arguments,
+        so each distinct instance key -- the declaration, the scope it
+        was declared in (with the type arguments), and the instantiation
+        span -- is elaborated once; later instances with the same key are
+        stamped from that first one (see :meth:`_stamp`).
+        """
         self._depth += 1
         if self._depth > _MAX_DEPTH:
             raise ElaborationError(
@@ -558,56 +641,352 @@ class Elaborator:
                 span,
             )
         try:
-            assert comp.decl_ast is not None and comp.closure is not None
-            fields: dict[str, SigTree] = {}
-            boundary: dict[int, ast.Mode] = {}
-            tree = CompTree(comp, fields, path, is_instance=True)
-            for p in comp.params:
-                pin = self._make_pin_tree(f"{path}.{p.name}", p.type, p.mode, span, tree)
-                fields[p.name] = pin
-                if not self._is_nested_instance_type(p.type):
-                    for net, leaf in zip(pin.leaves(), p.type.leaves(mode=p.mode)):
-                        boundary[net.id] = leaf.mode
-                self.netlist.register_signal(f"{path}.{p.name}", pin.leaves())
-            self.instances.append(tree)
-
-            env = Env(parent=comp.closure, uses=comp.decl_ast.uses)
-            for p in comp.params:
-                env.bind(p.name, SignalBinding(fields[p.name]))
-            ctx = Ctx(env, path, boundary=boundary)
-
-            for decl in comp.decl_ast.decls:
-                self.elaborate_decl(decl, ctx)
-
-            # Layout replacements (section 6.4) must run before the body.
-            self._run_layout_replacements(comp.decl_ast.layout, ctx)
-            self._run_layout_replacements(comp.decl_ast.header_layout, ctx)
-
-            if comp.is_function:
-                assert comp.result is not None
-                kind = (
-                    MULTIPLEX
-                    if _function_is_multiplex(comp.decl_ast.body or [])
-                    else BOOLEAN
-                )
-                sinks = [
-                    self.netlist.new_net(f"{path}.$result[{i}]", kind, span, role="local")
-                    for i in range(comp.result.width)
-                ]
-                ctx = Ctx(env, path, boundary=boundary, result_sink=sinks)
-                self.netlist.register_signal(f"{path}.$result", sinks)
-
-            saved_log, self._target_log = self._target_log, None
-            try:
-                for stmt in comp.decl_ast.body or []:
-                    self.elaborate_stmt(stmt, ctx)
-            finally:
-                self._target_log = saved_log
-
-            tree.local_env = env
-            return tree
+            self._peak = max(self._peak, self._depth)
+            if not self._memoize:
+                return self._elaborate_instance(comp, path, span)
+            assert comp.closure is not None
+            scope = comp.closure.scope_key or comp.closure
+            key = (id(comp.decl_ast), scope, span)
+            entry = self._memo.get(key, 0)
+            if isinstance(entry, _Template):
+                if self._depth + entry.height > _MAX_DEPTH:
+                    # Too deep here: elaborate, so the depth error is the
+                    # one full elaboration raises.
+                    return self._elaborate_instance(comp, path, span)
+                tree = self._stamp(entry, comp, path)
+                if tree is not None:
+                    self._peak = max(self._peak, self._depth + entry.height)
+                    return tree
+                entry = entry.tries + 1
+            if entry >= _MEMO_TRIES:
+                return self._elaborate_instance(comp, path, span)
+            return self._record(key, entry, comp, path, span)
         finally:
             self._depth -= 1
+
+    def _elaborate_instance(
+        self, comp: ComponentV, path: str, span: Span
+    ) -> CompTree:
+        assert comp.decl_ast is not None and comp.closure is not None
+        fields: dict[str, SigTree] = {}
+        boundary: dict[int, ast.Mode] = {}
+        tree = CompTree(comp, fields, path, is_instance=True)
+        for p in comp.params:
+            pin = self._make_pin_tree(f"{path}.{p.name}", p.type, p.mode, span, tree)
+            fields[p.name] = pin
+            if not self._is_nested_instance_type(p.type):
+                for net, leaf in zip(pin.leaves(), p.type.leaves(mode=p.mode)):
+                    boundary[net.id] = leaf.mode
+            self.netlist.register_signal(f"{path}.{p.name}", pin.leaves())
+        self.instances.append(tree)
+
+        env = Env(parent=comp.closure, uses=comp.decl_ast.uses)
+        for p in comp.params:
+            env.bind(p.name, SignalBinding(fields[p.name]))
+        ctx = Ctx(env, path, boundary=boundary)
+
+        for decl in comp.decl_ast.decls:
+            self.elaborate_decl(decl, ctx)
+
+        # Layout replacements (section 6.4) must run before the body.
+        self._run_layout_replacements(comp.decl_ast.layout, ctx)
+        self._run_layout_replacements(comp.decl_ast.header_layout, ctx)
+
+        if comp.is_function:
+            assert comp.result is not None
+            kind = (
+                MULTIPLEX
+                if _function_is_multiplex(comp.decl_ast.body or [])
+                else BOOLEAN
+            )
+            sinks = [
+                self.netlist.new_net(f"{path}.$result[{i}]", kind, span, role="local")
+                for i in range(comp.result.width)
+            ]
+            ctx = Ctx(env, path, boundary=boundary, result_sink=sinks)
+            self.netlist.register_signal(f"{path}.$result", sinks)
+
+        saved_log, self._target_log = self._target_log, None
+        try:
+            for stmt in comp.decl_ast.body or []:
+                self.elaborate_stmt(stmt, ctx)
+        finally:
+            self._target_log = saved_log
+
+        tree.local_env = env
+        return tree
+
+    # ------------------------------------------------------------------
+    # instance memo: record the first instance of a key, stamp the rest
+    # ------------------------------------------------------------------
+
+    def _marks(self) -> _Marks:
+        nl = self.netlist
+        return _Marks(
+            len(nl.nets), len(nl.gates), len(nl.conns), len(nl.const_conns),
+            len(nl.regs), len(self._aliases), len(self.instances),
+            len(self.seq_constraints), len(nl.signals), len(self.pin_owner),
+            len(self._not_cache), len(self._and_cache),
+            len(self.sink.diagnostics), self._fn_counter, len(self._shared),
+            self._depth,
+        )
+
+    def _record(
+        self, key: tuple, tries: int, comp: ComponentV, path: str, span: Span
+    ) -> CompTree:
+        """Elaborate one instance in full and keep it as the template of
+        *key* if it is fit to be copied (else count a failed try)."""
+        start = self._marks()
+        outer_peak, self._peak = self._peak, self._depth
+        try:
+            tree = self._elaborate_instance(comp, path, span)
+        finally:
+            height = self._peak - start.depth
+            self._peak = max(outer_peak, self._peak)
+        end = self._marks()
+        fit = (
+            end.diagnostics == start.diagnostics
+            and end.fn_counter == start.fn_counter
+            and end.shared == start.shared
+        )
+        if fit:
+            self._memo[key] = self._template(tree, start, end, height, tries)
+        else:
+            self._memo[key] = tries + 1
+        return tree
+
+    def _alias(self, a: Net, b: Net) -> None:
+        self._aliases.append((a.id, b.id))
+        self.netlist.alias(a, b)
+
+    def _template(
+        self, root: CompTree, start: _Marks, end: _Marks, height: int,
+        tries: int,
+    ) -> _Template:
+        # Only the instance and its nested instance pins can be touched
+        # or connected from outside later; the rest is final already.
+        exposed = _pin_instances(root)
+        return _Template(
+            root, start, end, height, tries,
+            signals=_tail(self.netlist.signals, end.signals - start.signals),
+            pin_owner=_tail(self.pin_owner, end.pin_owner - start.pin_owner),
+            not_cache=_tail(
+                self._not_cache.items(), end.not_cache - start.not_cache
+            ),
+            and_cache=_tail(
+                self._and_cache.items(), end.and_cache - start.and_cache
+            ),
+            touched={t: frozenset(t.touched) for t in exposed},
+            signatures={
+                t: list(self._conn_signatures.get(id(t), ())) for t in exposed
+            },
+        )
+
+    def _stamp(
+        self, t: _Template, comp: ComponentV, path: str
+    ) -> CompTree | None:
+        """Copy template *t* to a new instance of *comp* at *path*.
+
+        Net ids inside the template's range move by the offset; ids below
+        it must be shared nets and stay.  Names take the new path prefix;
+        gate outputs are renamed after their new gate id and ``$nummux``
+        nets after their new net id.  Everything is built before anything
+        is appended, so a template that refers to something a copy
+        cannot take over leaves no trace: the result is then None.
+        """
+        try:
+            return self._copy(t, comp, path)
+        except _NotStampable:
+            return None
+
+    def _copy(self, t: _Template, comp: ComponentV, path: str) -> CompTree:
+        nl = self.netlist
+        a, b = t.start, t.end
+        lo, hi = a.nets, b.nets
+        old = t.root.path
+        cut = len(old)
+        prefix = old + "."
+        noff = len(nl.nets) - lo
+        goff = len(nl.gates) - a.gates
+        roff = len(nl.regs) - a.regs
+        shared = self._shared
+
+        def rename(name: str) -> str:
+            if name.startswith(prefix):
+                return path + name[cut:]
+            if name == old:
+                return path
+            raise _NotStampable(name)
+
+        def nid(i: int) -> int:
+            if lo <= i < hi:
+                return i + noff
+            if i in shared:
+                return i
+            raise _NotStampable(i)
+
+        nets: list[Net] = []
+        for n in nl.nets[lo:hi]:
+            name = n.name
+            if name.startswith(prefix):
+                name = path + name[cut:]
+            elif name.startswith("$nummux"):
+                name = f"$nummux{n.id + noff}"
+            elif n.role != "gate":  # gate outputs are renamed below
+                raise _NotStampable(name)
+            nets.append(
+                Net(n.id + noff, name, n.kind, n.span, n.is_input, n.is_output, n.role)
+            )
+
+        def net(n: Net) -> Net:
+            i = n.id
+            if lo <= i < hi:
+                return nets[i - lo]
+            if i in shared:
+                return n
+            raise _NotStampable(n.name)
+
+        gates: list[Gate] = []
+        for g in nl.gates[a.gates:b.gates]:
+            out = net(g.output)
+            out.name = f"${g.op.lower()}{g.id + goff}"
+            inputs = [net(x) for x in g.inputs]
+            gates.append(Gate(g.id + goff, g.op, inputs, out, g.span))
+        conns = [
+            Conn(net(c.src), net(c.dst), None if c.cond is None else net(c.cond), c.span)
+            for c in nl.conns[a.conns:b.conns]
+        ]
+        consts = [
+            ConstConn(c.value, net(c.dst), None if c.cond is None else net(c.cond),
+                      c.span)
+            for c in nl.const_conns[a.consts:b.consts]
+        ]
+        regs = [
+            Reg(r.id + roff, net(r.d), net(r.q), rename(r.name), r.span)
+            for r in nl.regs[a.regs:b.regs]
+        ]
+        aliases = self._aliases[a.aliases:b.aliases]
+        if any(not (lo <= x < hi and lo <= y < hi) for x, y in aliases):
+            raise _NotStampable("alias")
+
+        # The signal trees and scopes.  A tree is shared only as a
+        # component tree or a component's field (a pin is also bound in
+        # the instance's scope), so only those are memoized.  Scopes made
+        # by the template's instances are copied; the scopes they were
+        # declared in are kept.  The maps are keyed by the objects
+        # themselves (identity hashing).
+        tail = self.instances[a.instances:b.instances]
+        local = {x.local_env for x in tail if x.local_env is not None}
+        tmap: dict[SigTree, SigTree] = {}
+        emap: dict[Env, Env] = {t.root.type.closure: comp.closure}
+
+        def env(e: Env) -> Env:
+            r = emap.get(e)
+            if r is None:
+                parent = env(e.parent) if e.parent is not None else None
+                if e in local or parent is not e.parent:
+                    r = emap[e] = Env(parent, e.uses, e.pervasive)
+                    bindings = r.bindings
+                    for k, v in e.bindings.items():
+                        if type(v) is SignalBinding:
+                            v = SignalBinding(tree(v.tree))
+                        elif type(v) is TypeBinding and v.closure is not None:
+                            closure = env(v.closure)
+                            if closure is not v.closure:
+                                v = TypeBinding(
+                                    v.name, v.params, v.type_ast, closure, v.builtin
+                                )
+                        bindings[k] = v
+                else:
+                    r = emap[e] = e
+            return r
+
+        def tree(x: SigTree) -> SigTree:
+            r = tmap.get(x)
+            if r is not None:
+                return r
+            cls = type(x)
+            if cls is BitTree:
+                i = x.net.id
+                r = BitTree(x.type, nets[i - lo] if lo <= i < hi else net(x.net))
+            elif cls is ArrayTree:
+                r = ArrayTree(x.type, [tree(e) for e in x.elems])
+            elif cls is CompTree:
+                r = tmap[x] = CompTree(
+                    x.type, {}, rename(x.path), is_instance=x.is_instance
+                )
+                for k, v in x.fields.items():
+                    r.fields[k] = tmap[v] = tree(v)
+                if x.local_env is not None:
+                    r.local_env = env(x.local_env)
+            elif cls is LazyTree:
+                if x.is_forced:
+                    forced = tree(x.force())
+                    r = LazyTree(x.type, lambda: forced, rename(x.path), x.span)
+                    r.force()
+                else:
+                    closure = x.type.closure
+                    if closure is not None and env(closure) is not closure \
+                            and closure is not t.root.type.closure:
+                        # Its type was declared inside the template, whose
+                        # scope forcing the copy would elaborate in.
+                        raise _NotStampable(x.path)
+                    r = self._lazy(x.type, rename(x.path), x.span)
+            elif cls is VirtualTree:
+                r = VirtualTree(x.type, rename(x.path))
+                if x.replaced is not None:
+                    r.replaced = tree(x.replaced)
+            else:
+                raise _NotStampable(cls.__name__)
+            return r
+
+        copies = [tree(x) for x in tail]
+        root = tmap[t.root]
+        assert isinstance(root, CompTree)
+        root.type = comp
+        for x, r in zip(tail, copies):
+            # An instance's touched pins are its own, inside the range.
+            # (Ids are taken from the new nets, so no int is duplicated.)
+            touched = t.touched.get(x, x.touched)
+            r.touched = {nets[i - lo].id for i in touched}
+        # Only these can be connected again, from outside.
+        for x, sigs in t.signatures.items():
+            if sigs:
+                self._conn_signatures[id(tmap[x])] = [
+                    _moved_signature(s, nid) for s in sigs
+                ]
+
+        signals = nl.signals
+        keys = [rename(key) for key in t.signals]  # new paths: fresh keys
+        values = [
+            [nets[i - lo] if lo <= (i := n.id) < hi else net(n) for n in signals[key]]
+            for key in t.signals
+        ]
+        owner_ids = [nets[i - lo].id for i in t.pin_owner]
+        owners = [tree(self.pin_owner[i]) for i in t.pin_owner]
+        seq = [
+            ([net(n) for n in first], [net(n) for n in then])
+            for first, then in self.seq_constraints[a.seq:b.seq]
+        ]
+        not_cache = [(nid(k), net(v)) for k, v in t.not_cache]
+        and_cache = [
+            ((tuple(map(nid, k[0])), k[1]) if isinstance(k[0], tuple)
+             else (nid(k[0]), nid(k[1])), net(v))
+            for k, v in t.and_cache
+        ]
+
+        # Commit.
+        nl.extend(nets, gates, conns, consts, regs)
+        for x, y in aliases:
+            self._alias(nl.nets[x + noff], nl.nets[y + noff])
+        signals.update(zip(keys, values))
+        self.pin_owner.update(zip(owner_ids, owners))
+        self.instances.extend(copies)
+        self.seq_constraints.extend(seq)
+        self._not_cache.update(not_cache)
+        self._and_cache.update(and_cache)
+        self.stamped += len(copies)
+        return root
 
     def _is_nested_instance_type(self, t: TypeV) -> bool:
         return isinstance(t, ComponentV) and (
@@ -762,7 +1141,7 @@ class Elaborator:
             )
         for a, b in zip(left, right):
             self._check_alias_pair(a, b, ctx, stmt.span)
-            self.netlist.alias(a, b)
+            self._alias(a, b)
 
     def _alias_side(self, expr: ast.Expr, ctx: Ctx, span: Span) -> list[Net]:
         flat = self.flatten_expr(expr, ctx)
@@ -930,7 +1309,7 @@ class Elaborator:
                     span,
                 )
             self._check_alias_pair(dst, src, ctx, span)
-            self.netlist.alias(dst, src)
+            self._alias(dst, src)
         return ("inout", tuple(_src_key(s) for s in sources))
 
     def _bind_param_slice(
@@ -969,7 +1348,7 @@ class Elaborator:
             if not isinstance(src, Net):
                 raise TypeError_("INOUT parameters connect to signals only", span)
             self._check_alias_pair(dst, src, ctx, span)
-            self.netlist.alias(dst, src)
+            self._alias(dst, src)
 
     def flatten_expr_or_write(
         self, param: ParamV, actual: ast.Expr, ctx: Ctx, span: Span, width: int
@@ -1590,6 +1969,7 @@ class Elaborator:
             net = self.netlist.new_net(name, BOOLEAN, role="local", is_input=True)
             self.netlist.register_signal(name, [net])
             self._special_nets[name] = net
+            self._shared.add(net.id)
         return self._special_nets[name]
 
     def const_net(self, value: Logic, span: Span = NO_SPAN) -> Net:
@@ -1598,6 +1978,7 @@ class Elaborator:
             net = self.netlist.new_net(f"$const_{value}", kind, span, role="local")
             self.netlist.add_const(value, net, None, span)
             self._const_nets[value] = net
+            self._shared.add(net.id)
         return self._const_nets[value]
 
     def _materialize(self, src: Src, span: Span) -> Net:
@@ -1609,7 +1990,7 @@ class Elaborator:
 
     def not_net(self, net: Net, span: Span) -> Net:
         if net.id not in self._not_cache:
-            self._not_cache[net.id] = self.netlist.add_gate("NOT", [net], span)
+            self._not_cache[net.id] = self._cached_gate("NOT", [net], span)
         return self._not_cache[net.id]
 
     def and_guard(self, a: Net | None, b: Net | None, span: Span) -> Net | None:
@@ -1619,8 +2000,17 @@ class Elaborator:
             return a
         key = (min(a.id, b.id), max(a.id, b.id))
         if key not in self._and_cache:
-            self._and_cache[key] = self.netlist.add_gate("AND", [a, b], span)
+            self._and_cache[key] = self._cached_gate("AND", [a, b], span)
         return self._and_cache[key]
+
+    def _cached_gate(self, op: str, inputs: list[Net], span: Span) -> Net:
+        """A gate for the NOT/AND/decode caches.  Over shared nets only
+        (CLK, RSET, constants, other such gates) its output is shared
+        too: every later lookup of the same key returns it."""
+        out = self.netlist.add_gate(op, inputs, span)
+        if all(n.id in self._shared for n in inputs):
+            self._shared.add(out.id)
+        return out
 
     def _decode_net(self, sel: list[Net], value: int, span: Span) -> Net:
         """EQUAL(sel, BIN(value, len(sel))) as a cached decode gate."""
@@ -1629,7 +2019,7 @@ class Elaborator:
         consts = [self.const_net(b, span) for b in bits_of(value, len(sel))]
         key = (tuple(n.id for n in sel), value)
         if key not in self._and_cache:
-            self._and_cache[key] = self.netlist.add_gate(  # type: ignore[index]
+            self._and_cache[key] = self._cached_gate(  # type: ignore[index]
                 "EQUAL", sel + consts, span
             )
         return self._and_cache[key]  # type: ignore[index]
@@ -1714,6 +2104,41 @@ def _function_is_multiplex(body: list[ast.Stmt]) -> bool:
     return saw and all_conditional
 
 
+def _tail(items, n: int) -> list:
+    """The last *n* entries of an insertion-ordered dict (or view)."""
+    return list(islice(reversed(items), n))[::-1]
+
+
+def _pin_instances(root: CompTree) -> list[CompTree]:
+    """*root* and the instances nested in its pins."""
+    out = [root]
+
+    def walk(t: SigTree) -> None:
+        if isinstance(t, LazyTree) and t.is_forced:
+            walk(t.force())
+        elif isinstance(t, ArrayTree):
+            for e in t.elems:
+                walk(e)
+        elif isinstance(t, CompTree):
+            if t.is_instance:
+                out.append(t)
+            for f in t.fields.values():
+                walk(f)
+
+    for f in root.fields.values():
+        walk(f)
+    return out
+
+
+def _moved_signature(signature: tuple, nid) -> tuple:
+    """A connection signature with its ``("net", id)`` sources moved."""
+    return tuple(
+        (p[0], tuple(("net", nid(s[1])) if s[0] == "net" else s for s in p[1]))
+        if isinstance(p, tuple) and p[0] in ("in", "inout") else p
+        for p in signature
+    )
+
+
 def _src_key(src: Src) -> Any:
     if isinstance(src, Net):
         return ("net", src.id)
@@ -1735,5 +2160,10 @@ def elaborate(
     """
     from ..obs.spans import span
 
-    with span("elaborate"):
-        return Elaborator(program, source, name).run(top)
+    with span("elaborate") as sp:
+        elab = Elaborator(program, source, name)
+        design = elab.run(top)
+        if sp is not None:
+            sp.meta["instances"] = len(design.instances)
+            sp.meta["stamped"] = elab.stamped
+        return design

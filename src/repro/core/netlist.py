@@ -178,6 +178,25 @@ class Netlist:
         self.regs.append(reg)
         return reg
 
+    def extend(
+        self,
+        nets: list[Net],
+        gates: list[Gate],
+        conns: list[Conn],
+        const_conns: list[ConstConn],
+        regs: list[Reg],
+    ) -> None:
+        """Append elements built elsewhere whose ids continue this
+        netlist's (the elaborator's stamped instance copies)."""
+        assert not nets or nets[0].id == len(self.nets)
+        self.nets.extend(nets)
+        self.gates.extend(gates)
+        self._next_gate += len(gates)
+        self.conns.extend(conns)
+        self.const_conns.extend(const_conns)
+        self.regs.extend(regs)
+        self._next_reg += len(regs)
+
     def register_signal(self, path: str, nets: list[Net]) -> None:
         self.signals[path] = nets
 

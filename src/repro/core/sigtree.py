@@ -226,12 +226,22 @@ class VirtualTree(SigTree):
 
 class LazyTree(SigTree):
     """A not-yet-materialised component instance (or array of them);
-    forcing runs the ``maker`` exactly once and caches the result."""
+    forcing runs the ``maker`` exactly once and caches the result.
+    ``path`` and ``span`` are the instance's, kept so the elaborator can
+    make the same lazy signal under another path."""
 
-    def __init__(self, type_: TypeV, maker: Callable[[], SigTree]):
+    def __init__(
+        self,
+        type_: TypeV,
+        maker: Callable[[], SigTree],
+        path: str = "",
+        span: Span = NO_SPAN,
+    ):
         self.type = type_
         self._maker: Callable[[], SigTree] | None = maker
         self._forced: SigTree | None = None
+        self.path = path
+        self.span = span
 
     @property
     def is_forced(self) -> bool:

@@ -69,6 +69,12 @@ class Env:
     those outer names -- plus everything pervasive -- are visible through
     this scope boundary."""
 
+    #: For the scope holding a parameterized type's arguments: (the
+    #: declaring env, the argument values).  Two scopes with equal keys
+    #: bind the same names to the same values, so the elaborator's
+    #: instance memo treats them as one.
+    scope_key: "tuple | None" = None
+
     def __init__(
         self,
         parent: "Env | None" = None,

@@ -460,10 +460,10 @@ def import_manifest(design: Design) -> dict:
     returns, with every net mapping to itself.  Lets downstream tools
     treat emitted and imported designs uniformly."""
     netlist = design.netlist
-    find = netlist.find
+    root = netlist.canonical_ids()
     canon: dict[int, list] = {}
     for net in netlist.nets:
-        canon.setdefault(find(net).id, []).append(net)
+        canon.setdefault(root[net.id], []).append(net)
     nets = {}
     for members in canon.values():
         display = min(
@@ -485,7 +485,7 @@ def import_manifest(design: Design) -> dict:
                 "mode": p.mode,
                 "bits": [
                     min(
-                        (m.name for m in netlist.alias_class(n)
+                        (m.name for m in canon[root[n.id]]
                          if not m.name.startswith("$")),
                         default=n.name,
                     )

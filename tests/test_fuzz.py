@@ -13,7 +13,10 @@ slice here checks
   across dataflow (the oracle), levelized and batched, lane by lane,
   plus the fifth leg: the design round-tripped through the structural
   Verilog emitter and reader (:mod:`repro.analysis.roundtrip`)
-  co-simulated against the original.
+  co-simulated against the original, and
+* the elaborator's instance memo: each program, and a copy whose top
+  type is instantiated three times, elaborates identically with the
+  memo on and off (:func:`repro.analysis.fuzzgen.memo_differential`).
 
 Long-budget cases are marked ``slow`` and skipped unless the
 ``ZEUS_FUZZ_LONG`` environment variable is set (the nightly CI job sets
@@ -38,6 +41,7 @@ from repro.analysis.fuzzgen import (
     differential_check,
     eval_dag,
     generate_program,
+    memo_differential,
     render_zeus,
     shrink,
 )
@@ -174,6 +178,8 @@ class TestExtendedDifferential:
             prog.text, cycles=3, n_vectors=4, seed=seed
         )
         assert res.ok, f"seed {seed}: {res.detail}\n{prog.text}"
+        res = memo_differential(prog)
+        assert res.ok, f"seed {seed}: {res.detail}\n{prog.text}"
 
     @pytest.mark.parametrize("shape", ["mux", "regs", "meta"])
     def test_each_shape_alone(self, shape):
@@ -263,4 +269,6 @@ class TestLongBudget:
             res = differential_check(
                 prog.text, cycles=4, n_vectors=8, seed=seed
             )
+            assert res.ok, f"seed {seed}: {res.detail}\n{prog.text}"
+            res = memo_differential(prog)
             assert res.ok, f"seed {seed}: {res.detail}\n{prog.text}"

@@ -158,6 +158,29 @@ class TestManifest:
         validate_manifest(manifest)
         assert all(e["verilog"] == d for d, e in manifest["nets"].items())
 
+    @pytest.mark.parametrize("name", [n for n, _ in stdlib_corpus()])
+    def test_import_manifest_names_match_alias_classes(self, name):
+        """The one-pass grouping names every net class and port bit as
+        the per-bit ``Netlist.alias_class`` scan does."""
+        text = dict(stdlib_corpus())[name]
+        verilog, _ = emit_verilog(repro.compile_text(text, name=name).design)
+        design = read_verilog(verilog)
+        netlist = design.netlist
+        manifest = import_manifest(design)
+
+        def display(members, default):
+            return min((m.name for m in members if not m.name.startswith("$")),
+                       default=default)
+
+        classes = {}
+        for net in netlist.nets:
+            classes.setdefault(netlist.find(net).id, []).append(net)
+        assert list(manifest["nets"]) == [
+            display(members, members[0].name) for members in classes.values()]
+        assert [p["bits"] for p in manifest["ports"]] == [
+            [display(netlist.alias_class(n), n.name) for n in p.nets]
+            for p in netlist.ports]
+
 
 # -- the ISCAS-style scenario family --------------------------------------
 
